@@ -94,6 +94,13 @@ type Cache struct {
 
 	// idx maps line address -> index into lines for valid lines.
 	idx map[uint64]int32
+	// memo is a direct-mapped lineAddr -> line index table in front of
+	// idx, so hits skip the map hashing. An entry is a hint: it is
+	// trusted only if the line it names still holds lineAddr. Evictions
+	// overwrite lineAddr and so need no memo upkeep; dropAll clears the
+	// memo, because dropped lines keep their stale addresses.
+	memo      []int32
+	memoShift uint
 	// used counts the valid ways of each set; lines only invalidate
 	// wholesale (Flush/Invalidate), so a set's valid ways are exactly
 	// the first used entries of its fill order.
@@ -124,11 +131,20 @@ func New(cfg Config) (*Cache, error) {
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
+	n := cfg.Sets * cfg.Ways
+	// Four memo slots per line keep collisions between resident lines
+	// rare.
+	memoBits := uint(2)
+	for 1<<memoBits < 4*n {
+		memoBits++
+	}
 	c := &Cache{
 		cfg:       cfg,
-		lines:     make([]line, cfg.Sets*cfg.Ways),
+		lines:     make([]line, n),
 		lineShift: shift,
-		idx:       make(map[uint64]int32, cfg.Sets*cfg.Ways),
+		idx:       make(map[uint64]int32, n),
+		memo:      make([]int32, 1<<memoBits),
+		memoShift: 64 - memoBits,
 		used:      make([]int32, cfg.Sets),
 		head:      make([]int32, cfg.Sets),
 		tail:      make([]int32, cfg.Sets),
@@ -137,6 +153,7 @@ func New(cfg Config) (*Cache, error) {
 	for s := range c.head {
 		c.head[s], c.tail[s] = -1, -1
 	}
+	c.clearMemo()
 	return c, nil
 }
 
@@ -152,6 +169,15 @@ func MustNew(cfg Config) *Cache {
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
+
+// LineShift returns log2 of the line size: addr >> LineShift() is the
+// line address Access keys on.
+func (c *Cache) LineShift() uint { return c.lineShift }
+
+// AddHits counts n read hits without touching cache state. The caller
+// must know that each of the n reads would hit and leave the LRU order
+// as it is, as a re-read of the line read last does.
+func (c *Cache) AddHits(n int64) { c.stats.Hits += n }
 
 // Stats returns a snapshot of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -205,7 +231,15 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		c.stats.Hits++
 		return true
 	}
-	if i, ok := c.idx[lineAddr]; ok {
+	slot := &c.memo[(lineAddr*0x9E3779B97F4A7C15)>>c.memoShift]
+	i := *slot
+	if i < 0 || c.lines[i].lineAddr != lineAddr {
+		var ok bool
+		if i, ok = c.idx[lineAddr]; !ok {
+			i = -1
+		}
+	}
+	if i >= 0 {
 		set := int(lineAddr % uint64(c.cfg.Sets))
 		if c.tail[set] != i {
 			c.unlink(set, i)
@@ -216,6 +250,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		}
 		c.stats.Hits++
 		c.mruLineAddr, c.mruIdx = lineAddr, i
+		*slot = i
 		return true
 	}
 
@@ -246,6 +281,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	c.pushMRU(set, vi)
 	c.idx[lineAddr] = vi
 	c.mruLineAddr, c.mruIdx = lineAddr, vi
+	*slot = vi
 	return false
 }
 
@@ -273,4 +309,11 @@ func (c *Cache) dropAll() {
 		c.used[s] = 0
 	}
 	c.mruIdx = -1
+	c.clearMemo()
+}
+
+func (c *Cache) clearMemo() {
+	for i := range c.memo {
+		c.memo[i] = -1
+	}
 }

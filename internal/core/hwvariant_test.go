@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"testing"
 
+	"gpuchar/internal/cache"
 	"gpuchar/internal/gfxapi"
 	"gpuchar/internal/gpu"
 	"gpuchar/internal/hwconfig"
+	"gpuchar/internal/mem"
 	"gpuchar/internal/workloads"
 )
 
@@ -95,5 +97,23 @@ func TestVariantCachesOffAblation(t *testing.T) {
 	mbOff, _, _, _ := off.MemoryProfile()
 	if mbOff <= mbOn {
 		t.Errorf("minimum caches did not raise memory traffic: %.2f -> %.2f MB/frame", mbOn, mbOff)
+	}
+
+	// The 1-way, 1-set texture L0 is where footprint-granular sampling
+	// must fall back to per-texel cache accesses (a line can evict the
+	// line accessed just before it), so its counters are pinned exactly
+	// to the values the per-texel sampler produced.
+	type texCounters struct {
+		L0, L1       cache.Stats
+		TexReadBytes int64
+	}
+	got := texCounters{off.Agg.TexL0, off.Agg.TexL1, off.Agg.Mem[mem.ClientTexture].ReadBytes}
+	want := texCounters{
+		L0:           cache.Stats{Hits: 2527841, Misses: 2387935, FillBytes: 152827840},
+		L1:           cache.Stats{Hits: 816107, Misses: 1571828, FillBytes: 100596992},
+		TexReadBytes: 100596992,
+	}
+	if got != want {
+		t.Errorf("caches-off texture counters = %+v, want %+v", got, want)
 	}
 }

@@ -58,7 +58,7 @@ func TestAddressLayoutMatchesReference(t *testing.T) {
 							t.Fatalf("%v %dx%d lv%d (%d,%d): blockOffset = %d, reference %d",
 								f, sh.w, sh.h, lv, x, y, got, want)
 						}
-						if got, want := tex.uncompressedOffset(x, y, lv), refUncompressedOffset(tex, x, y, lv); got != want {
+						if got, want := tex.uncompressedOffset(li, x, y), refUncompressedOffset(tex, x, y, lv); got != want {
 							t.Fatalf("%v %dx%d lv%d (%d,%d): uncompressedOffset = %d, reference %d",
 								f, sh.w, sh.h, lv, x, y, got, want)
 						}
@@ -71,7 +71,7 @@ func TestAddressLayoutMatchesReference(t *testing.T) {
 						t.Fatalf("%v lv%d wrap (%d,%d): blockOffset = %d, reference %d",
 							f, lv, x, y, got, want)
 					}
-					if got, want := tex.uncompressedOffset(xy[0], xy[1], lv), refUncompressedOffset(tex, xy[0], xy[1], lv); got != want {
+					if got, want := tex.uncompressedOffset(li, x, y), refUncompressedOffset(tex, xy[0], xy[1], lv); got != want {
 						t.Fatalf("%v lv%d wrap (%d,%d): uncompressedOffset = %d, reference %d",
 							f, lv, xy[0], xy[1], got, want)
 					}

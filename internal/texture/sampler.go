@@ -257,20 +257,28 @@ func (u *Unit) SampleQuad(unit int, coords *[4]gmath.Vec4, bias float32,
 }
 
 // bilinear performs one bilinear sample: four texel fetches with
-// fractional weighting.
+// fractional weighting. The level is clamped and the footprint's two
+// columns and two rows are wrapped once; the cache hierarchy is then
+// driven once per distinct L0 line of the footprint (touchFootprint).
 func (u *Unit) bilinear(t *Texture, s, tc float32, lv int) gmath.Vec4 {
-	lw, lh := t.LevelSize(lv)
-	x := s*float32(lw) - 0.5
-	y := tc*float32(lh) - 0.5
+	lv = clampInt(lv, 0, len(t.levels)-1)
+	li := &t.levels[lv]
+	x := s*float32(li.w) - 0.5
+	y := tc*float32(li.h) - 0.5
 	x0 := int(floorf(x))
 	y0 := int(floorf(y))
 	fx := x - float32(x0)
 	fy := y - float32(y0)
+	xa, xb := x0&li.wMask, (x0+1)&li.wMask
+	ya, yb := y0&li.hMask, (y0+1)&li.hMask
 
-	c00 := u.fetchTexel(t, x0, y0, lv)
-	c10 := u.fetchTexel(t, x0+1, y0, lv)
-	c01 := u.fetchTexel(t, x0, y0+1, lv)
-	c11 := u.fetchTexel(t, x0+1, y0+1, lv)
+	u.stats.TexelFetches += 4
+	u.touchFootprint(t, li, xa, xb, ya, yb)
+
+	c00 := unorm(t.texel(lv, xa, ya))
+	c10 := unorm(t.texel(lv, xb, ya))
+	c01 := unorm(t.texel(lv, xa, yb))
+	c11 := unorm(t.texel(lv, xb, yb))
 
 	top := c00.Lerp(c10, fx)
 	bot := c01.Lerp(c11, fx)
@@ -278,44 +286,97 @@ func (u *Unit) bilinear(t *Texture, s, tc float32, lv int) gmath.Vec4 {
 }
 
 func (u *Unit) fetchNearest(t *Texture, s, tc float32, lv int) gmath.Vec4 {
-	lw, lh := t.LevelSize(lv)
-	x := int(floorf(s * float32(lw)))
-	y := int(floorf(tc * float32(lh)))
-	return u.fetchTexel(t, x, y, lv)
-}
-
-// fetchTexel reads one texel, driving the cache hierarchy: the L0 cache
-// is addressed in decompressed space; an L0 miss fetches through the L1
-// cache in compressed space; an L1 miss reads GDDR.
-func (u *Unit) fetchTexel(t *Texture, x, y, lv int) gmath.Vec4 {
-	c, compAddr := t.Texel(x, y, lv)
-	u.stats.TexelFetches++
-	// Decompressed-space address: scale the texture's base so distinct
-	// textures never alias (decompressed data is at most 8x larger than
-	// DXT1; 16x margin).
-	uncAddr := t.BaseAddr*16 + t.uncompressedOffset(x, y, lv)
-	if !u.l0.Access(uncAddr, false) {
-		if !u.l1.Access(compAddr, false) && u.memctl != nil {
-			u.memctl.Read(mem.ClientTexture, int64(u.l1Cfg.LineBytes))
-		}
-	}
-	return gmath.Vec4{
-		X: float32(c.R) / 255,
-		Y: float32(c.G) / 255,
-		Z: float32(c.B) / 255,
-		W: float32(c.A) / 255,
-	}
-}
-
-// uncompressedOffset computes the tiled 4-bytes-per-texel address used
-// for L0 (decompressed) lookups: 4x4-texel tiles of 64 bytes. The level
-// base (sum of 4-byte-per-texel level sizes) and the per-row tile count
-// are precomputed by initLayout.
-func (t *Texture) uncompressedOffset(x, y, lv int) uint64 {
 	lv = clampInt(lv, 0, len(t.levels)-1)
 	li := &t.levels[lv]
-	x &= li.wMask
-	y &= li.hMask
+	x := int(floorf(s*float32(li.w))) & li.wMask
+	y := int(floorf(tc*float32(li.h))) & li.hMask
+	u.stats.TexelFetches++
+	u.touchTexel(t, li, x, y, t.uncompressedAddr(li, x, y))
+	return unorm(t.texel(lv, x, y))
+}
+
+// touchFootprint drives the cache hierarchy for the wrapped 2x2
+// footprint {xa,xb} x {ya,yb} of one bilinear sample. The counters are
+// exactly those of four per-texel accesses in the order (xa,ya),
+// (xb,ya), (xa,yb), (xb,yb), but repeated L0 lines are counted rather
+// than looked up:
+//   - one line (AAAA): a re-access of the line just touched always hits;
+//   - two columns of lines (ABAB): A is still resident when it is
+//     re-accessed after B unless B's fill evicted it, which needs a
+//     one-way set shared by A and B. Re-accessing A then B restores the
+//     LRU order the first pair left, so only the hit counter moves.
+//
+// Every other pattern takes the four accesses in order.
+func (u *Unit) touchFootprint(t *Texture, li *levelInfo, xa, xb, ya, yb int) {
+	a00 := t.uncompressedAddr(li, xa, ya)
+	a10 := t.uncompressedAddr(li, xb, ya)
+	a01 := t.uncompressedAddr(li, xa, yb)
+	a11 := t.uncompressedAddr(li, xb, yb)
+	sh := u.l0.LineShift()
+	l00, l10, l01, l11 := a00>>sh, a10>>sh, a01>>sh, a11>>sh
+	u.touchTexel(t, li, xa, ya, a00)
+	switch {
+	case l00 == l10 && l00 == l01 && l00 == l11:
+		u.l0.AddHits(3)
+	case l01 == l00 && l11 == l10 && u.pairSurvives(l00, l10):
+		u.touchTexel(t, li, xb, ya, a10)
+		u.l0.AddHits(2)
+	default:
+		u.touchTexel(t, li, xb, ya, a10)
+		u.touchTexel(t, li, xa, yb, a01)
+		u.touchTexel(t, li, xb, yb, a11)
+	}
+}
+
+// pairSurvives reports whether L0 line a is certain to stay resident
+// across a fill of line b: the L0 has more than one way (a, just
+// touched, is then never its set's LRU line) or the two lines map to
+// different sets.
+func (u *Unit) pairSurvives(a, b uint64) bool {
+	return u.l0Cfg.Ways >= 2 || a%uint64(u.l0Cfg.Sets) != b%uint64(u.l0Cfg.Sets)
+}
+
+// touchTexel accesses texel (x, y) of level li, whose decompressed-space
+// address is uncAddr, through the cache hierarchy: the L0 cache is
+// addressed in decompressed space; an L0 miss fetches through the L1
+// cache in compressed space; an L1 miss reads GDDR. The compressed
+// address is only needed, and so only computed, on an L0 miss.
+func (u *Unit) touchTexel(t *Texture, li *levelInfo, x, y int, uncAddr uint64) {
+	if u.l0.Access(uncAddr, false) {
+		return
+	}
+	if !u.l1.Access(t.compressedAddr(li, x, y), false) && u.memctl != nil {
+		u.memctl.Read(mem.ClientTexture, int64(u.l1Cfg.LineBytes))
+	}
+}
+
+// unorm8 maps an 8-bit unsigned-normalized channel to its float value;
+// unorm8[i] is float32(i)/255 bit for bit.
+var unorm8 = func() (tab [256]float32) {
+	for i := range tab {
+		tab[i] = float32(i) / 255
+	}
+	return tab
+}()
+
+// unorm converts a texel to its normalized float color.
+func unorm(c RGBA) gmath.Vec4 {
+	return gmath.Vec4{X: unorm8[c.R], Y: unorm8[c.G], Z: unorm8[c.B], W: unorm8[c.A]}
+}
+
+// uncompressedAddr is the L0 (decompressed-space) address of wrapped
+// texel (x, y) of level li. The texture's base is scaled so distinct
+// textures never alias (decompressed data is at most 8x larger than
+// DXT1; 16x margin).
+func (t *Texture) uncompressedAddr(li *levelInfo, x, y int) uint64 {
+	return t.BaseAddr*16 + t.uncompressedOffset(li, x, y)
+}
+
+// uncompressedOffset computes the tiled 4-bytes-per-texel offset of
+// wrapped texel (x, y) of level li used for L0 (decompressed) lookups:
+// 4x4-texel tiles of 64 bytes. The level base (sum of 4-byte-per-texel
+// level sizes) and the per-row tile count are precomputed by initLayout.
+func (t *Texture) uncompressedOffset(li *levelInfo, x, y int) uint64 {
 	tile := (y>>2)*li.uncTilesPerRow + x>>2
 	within := (y&3)<<2 + x&3
 	return li.uncBase + uint64(tile)<<6 + uint64(within)<<2

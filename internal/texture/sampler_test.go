@@ -206,3 +206,44 @@ func TestLODBias(t *testing.T) {
 		t.Error("biased sample did not complete")
 	}
 }
+
+// sampleSink keeps benchmark results live.
+var sampleSink [4]gmath.Vec4
+
+// BenchmarkSampleQuad measures SampleQuad per filter mode over a
+// raster-order walk of 2x2 quads across a 256x256 procedural DXT1
+// texture with the Table XIV caches, and reports the cost per bilinear
+// sample, the unit of Table XIII. The footprint is 1.3 texels per pixel
+// (5.2 x 1.3 for the anisotropic case, five probes).
+func BenchmarkSampleQuad(b *testing.B) {
+	modes := []struct {
+		name   string
+		filter FilterMode
+		du     float32 // texels per pixel along x
+	}{
+		{"nearest", FilterNearest, 1.3},
+		{"bilinear", FilterBilinear, 1.3},
+		{"trilinear", FilterTrilinear, 1.3},
+		{"aniso16", FilterAniso, 5.2},
+	}
+	const size, quadsPerRow = 256, 32
+	for _, m := range modes {
+		b.Run(m.name, func(b *testing.B) {
+			u := NewUnit(mem.NewController())
+			tex := MustNew("bench", FormatDXT1, size, size, Noise(7))
+			tex.BaseAddr = 0x100000
+			u.Bind(0, tex, SamplerState{Filter: m.filter, MaxAniso: 16})
+			walk := make([][4]gmath.Vec4, quadsPerRow*quadsPerRow)
+			for i := range walk {
+				px, py := float32(2*(i%quadsPerRow)), float32(2*(i/quadsPerRow))
+				du, dv := m.du/size, float32(1.3)/size
+				walk[i] = quadCoords(0.1+px*du, 0.1+py*dv, du, dv)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sampleSink = u.SampleQuad(0, &walk[i%len(walk)], 0, false)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(u.Stats().BilinearSamples), "ns/bilinear")
+		})
+	}
+}

@@ -192,14 +192,25 @@ func (t *Texture) Texel(x, y, lv int) (RGBA, uint64) {
 	li := &t.levels[lv]
 	x &= li.wMask // wrap (dimensions are powers of two)
 	y &= li.hMask
-	addr := t.BaseAddr + li.offset + t.blockOffset(li, x, y)
+	return t.texel(lv, x, y), t.compressedAddr(li, x, y)
+}
+
+// texel returns the content of texel (x, y) of level lv; the level must
+// be in range and the coordinates already wrapped.
+func (t *Texture) texel(lv, x, y int) RGBA {
 	if t.data != nil {
-		return t.decodeTexel(lv, x, y), addr
+		return t.decodeTexel(lv, x, y)
 	}
 	if t.proc != nil {
-		return t.proc(x, y, lv), addr
+		return t.proc(x, y, lv)
 	}
-	return RGBA{}, addr
+	return RGBA{}
+}
+
+// compressedAddr is the GPU memory address of the block holding
+// wrapped texel (x, y) of level li: the L1 (compressed-space) address.
+func (t *Texture) compressedAddr(li *levelInfo, x, y int) uint64 {
+	return t.BaseAddr + li.offset + t.blockOffset(li, x, y)
 }
 
 // blockOffset computes the tiled byte offset of the block containing
