@@ -176,6 +176,13 @@ type Config struct {
 	Cull      CullMode
 }
 
+// maxClipVerts bounds the polygon clipping one triangle produces: three
+// vertices plus at most one per frustum plane, since clipping a convex
+// polygon against a plane adds at most one vertex. Non-finite
+// coordinates (or rounding on a degenerate sliver) can break convexity;
+// the clipper then grows past this bound by append, never by indexing.
+const maxClipVerts = 3 + int(gmath.NumClipPlanes)
+
 // Pipeline is the geometry engine. It owns the post-transform vertex
 // cache and a scratch table of shaded vertices.
 type Pipeline struct {
@@ -187,6 +194,21 @@ type Pipeline struct {
 	shaded []ShadedVertex
 	epoch  []uint32
 	gen    uint32
+
+	// Per-draw scratch, reused so that a warmed Draw allocates nothing
+	// (pinned by TestDrawAllocFree): the in-range index stream, the
+	// assembled index triples, the emitted triangles (Draw's result), the
+	// clipper's ping-pong polygons and the projected polygon.
+	idx    []uint32
+	asm    [][3]uint32
+	out    []Triangle
+	clip   [2][maxClipVerts]ShadedVertex
+	screen [maxClipVerts]ScreenVertex
+	// The vertex shader's register arrays: the machine holds pointers to
+	// them while it runs, so stack arrays would escape to the heap on
+	// every shaded vertex.
+	vin  [shader.NumInputs]gmath.Vec4
+	vout [shader.NumOutputs]gmath.Vec4
 
 	// stats accumulates across draws; the metrics registry binds to it.
 	stats Stats
@@ -218,6 +240,10 @@ func NewPipeline(m *shader.Machine, memctl *mem.Controller) *Pipeline {
 // Draw runs one batch through the geometry pipeline and returns the
 // screen triangles to rasterize plus the per-draw statistics. The vertex
 // shader program's constants must already be loaded into the Machine.
+//
+// The returned slice is the Pipeline's scratch: it is valid until the
+// next Draw, which overwrites it. Callers that keep triangles longer must
+// copy them (the GPU copies each into its triangle setup).
 func (p *Pipeline) Draw(vb *VertexBuffer, ib *IndexBuffer, prim PrimitiveType,
 	vs *shader.Program, cfg Config) ([]Triangle, Stats) {
 
@@ -232,7 +258,7 @@ func (p *Pipeline) Draw(vb *VertexBuffer, ib *IndexBuffer, prim PrimitiveType,
 	p.VCache.Clear()
 
 	// Shade (through the vertex cache) every referenced index.
-	shadedIdx := make([]uint32, 0, len(ib.Indices))
+	p.idx = p.idx[:0]
 	for _, idx := range ib.Indices {
 		if int(idx) >= nv {
 			continue // out-of-range index: drop, like a defensive driver
@@ -252,18 +278,18 @@ func (p *Pipeline) Draw(vb *VertexBuffer, ib *IndexBuffer, prim PrimitiveType,
 			// this scratch table; reshade to keep values fresh.
 			p.shadeVertex(vb, idx, vs)
 		}
-		shadedIdx = append(shadedIdx, idx)
+		p.idx = append(p.idx, idx)
 	}
 
 	// Assemble primitives and clip/cull/transform.
-	tris := assemble(shadedIdx, prim)
-	st.TrianglesAssembled += int64(len(tris))
-	var out []Triangle
-	for _, tri := range tris {
+	p.asm = assemble(p.asm[:0], p.idx, prim)
+	st.TrianglesAssembled += int64(len(p.asm))
+	p.out = p.out[:0]
+	for _, tri := range p.asm {
 		v0 := &p.shaded[tri[0]]
 		v1 := &p.shaded[tri[1]]
 		v2 := &p.shaded[tri[2]]
-		outcome := p.clipCullEmit(v0, v1, v2, cfg, &out)
+		outcome := p.clipCullEmit(v0, v1, v2, cfg)
 		switch outcome {
 		case resultClipped:
 			st.TrianglesClipped++
@@ -274,7 +300,7 @@ func (p *Pipeline) Draw(vb *VertexBuffer, ib *IndexBuffer, prim PrimitiveType,
 		}
 	}
 	p.stats.add(st)
-	return out, st
+	return p.out, st
 }
 
 func (p *Pipeline) ensureScratch(nv int) {
@@ -288,15 +314,18 @@ func (p *Pipeline) ensureScratch(nv int) {
 }
 
 func (p *Pipeline) shadeVertex(vb *VertexBuffer, idx uint32, vs *shader.Program) {
-	var in [shader.NumInputs]gmath.Vec4
+	// Both register arrays start zeroed, as fresh locals would: unbound
+	// input slots read zero and unwritten outputs carry zero varyings.
+	in, out := &p.vin, &p.vout
+	*in = [shader.NumInputs]gmath.Vec4{}
 	for slot, data := range vb.Attribs {
 		if slot >= shader.NumInputs {
 			break
 		}
 		in[slot] = data[idx]
 	}
-	var out [shader.NumOutputs]gmath.Vec4
-	p.Machine.RunVertex(vs, &in, &out)
+	*out = [shader.NumOutputs]gmath.Vec4{}
+	p.Machine.RunVertex(vs, in, out)
 	sv := &p.shaded[idx]
 	sv.ClipPos = out[0]
 	for i := 0; i < NumVaryings; i++ {
@@ -305,9 +334,9 @@ func (p *Pipeline) shadeVertex(vb *VertexBuffer, idx uint32, vs *shader.Program)
 	p.epoch[idx] = p.gen
 }
 
-// assemble converts an index stream to triangles (as index triples).
-func assemble(idx []uint32, prim PrimitiveType) [][3]uint32 {
-	var tris [][3]uint32
+// assemble appends the index stream's triangles (as index triples) to
+// tris and returns the extended slice.
+func assemble(tris [][3]uint32, idx []uint32, prim PrimitiveType) [][3]uint32 {
 	switch prim {
 	case TriangleList:
 		for i := 0; i+2 < len(idx); i += 3 {
@@ -339,9 +368,8 @@ const (
 )
 
 // clipCullEmit classifies one assembled triangle and appends its screen
-// triangles to out when it survives.
-func (p *Pipeline) clipCullEmit(v0, v1, v2 *ShadedVertex, cfg Config,
-	out *[]Triangle) clipResult {
+// triangles to p.out when it survives.
+func (p *Pipeline) clipCullEmit(v0, v1, v2 *ShadedVertex, cfg Config) clipResult {
 
 	c0 := gmath.OutcodeOf(v0.ClipPos)
 	c1 := gmath.OutcodeOf(v1.ClipPos)
@@ -350,20 +378,20 @@ func (p *Pipeline) clipCullEmit(v0, v1, v2 *ShadedVertex, cfg Config,
 		return resultClipped // trivially outside one plane
 	}
 
-	verts := []ShadedVertex{*v0, *v1, *v2}
+	verts := append(p.clip[0][:0], *v0, *v1, *v2)
 	if c0|c1|c2 != 0 {
 		// Straddles the frustum: Sutherland-Hodgman clip in homogeneous
 		// space against all six planes.
-		verts = clipPolygon(verts)
+		verts = p.clipPolygon(verts)
 		if len(verts) < 3 {
 			return resultClipped
 		}
 	}
 
 	// Project to screen space.
-	screen := make([]ScreenVertex, len(verts))
+	screen := p.screen[:0]
 	for i := range verts {
-		screen[i] = toScreen(&verts[i], cfg)
+		screen = append(screen, toScreen(&verts[i], cfg))
 	}
 
 	// Face cull using the signed area of the first sub-triangle (the
@@ -392,7 +420,7 @@ func (p *Pipeline) clipCullEmit(v0, v1, v2 *ShadedVertex, cfg Config,
 
 	// Fan-triangulate the clipped polygon.
 	for i := 1; i+1 < len(screen); i++ {
-		*out = append(*out, Triangle{
+		p.out = append(p.out, Triangle{
 			V:                 [3]ScreenVertex{screen[0], screen[i], screen[i+1]},
 			CountsAsTraversed: i == 1,
 			FrontFacing:       front,
@@ -408,15 +436,17 @@ func reverse(s []ScreenVertex) {
 }
 
 // clipPolygon clips a convex polygon against the six frustum planes in
-// homogeneous space.
-func clipPolygon(in []ShadedVertex) []ShadedVertex {
+// homogeneous space. The planes ping-pong between the two clip buffers:
+// plane k writes p.clip[(k+1)%2], so it never overwrites its input (the
+// caller's polygon sits in p.clip[0]).
+func (p *Pipeline) clipPolygon(in []ShadedVertex) []ShadedVertex {
 	planes := gmath.FrustumPlanes()
 	poly := in
-	for _, pl := range planes {
+	for k, pl := range planes {
 		if len(poly) == 0 {
 			return nil
 		}
-		var next []ShadedVertex
+		next := p.clip[(k+1)%2][:0]
 		for i := range poly {
 			cur := &poly[i]
 			prev := &poly[(i+len(poly)-1)%len(poly)]

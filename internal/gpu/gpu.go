@@ -16,8 +16,10 @@
 // tile-parallel: geometry and triangle setup stay serial, rasterized
 // quads are binned to screen-space buckets of 8 horizontally
 // consecutive 8x8 blocks (64x8 pixels), and buckets are assigned to N
-// workers per draw by greedy longest-bucket-first load balancing. Each
-// worker runs HZ -> z & stencil -> fragment shading -> blend for its
+// workers per draw by greedy longest-bucket-first load balancing. The
+// serial front end of draw N+1 (geometry, setup, binning) overlaps the
+// workers of draw N; the next call drains them (see executeParallel).
+// Each worker runs HZ -> z & stencil -> fragment shading -> blend for its
 // quads in submission order against private shader machine, texture
 // unit, cache and stat shards. Because every 8x8 framebuffer block (the
 // granularity of the z/color cache lines, the HZ mirror and the
@@ -198,21 +200,71 @@ type tileWorker struct {
 	// pass on the main thread before the worker goroutines start.
 	groups []int32
 	quads  int
+	// panicked holds the value of a panic the worker recovered during the
+	// in-flight draw; the drain re-raises it on the caller's goroutine.
+	panicked any
 	// reg binds the worker's shard counters under the same names as the
 	// serial registry, so shard snapshots Merge element-for-element.
 	reg *metrics.Registry
 }
 
-// quadWork is one binned quad: a copy of the rasterizer's scratch quad
-// plus the facing of its triangle (which selects the stencil op set).
+// drawJob is the per-draw state a tile worker reads, captured by value
+// at launch: the front end rewrites the GPU's copies for the next draw
+// while the workers still run.
+type drawJob struct {
+	fs       *shader.Program
+	zstate   zst.State
+	ropState rop.State
+	earlyZ   bool
+	buckets  [][]quadWork
+	// tr is the tracer when this draw is sampled (nil otherwise); the
+	// worker's drain span lands on track tk.
+	tr *obsv.Tracer
+	tk obsv.Track
+}
+
+// run executes the worker's share of one draw: its buckets in screen
+// order, each in submission order. A panic (a texture's ProcFunc, say)
+// is recovered into w.panicked rather than killing the process.
+func (w *tileWorker) run(job drawJob, wg *sync.WaitGroup) {
+	defer wg.Done()
+	defer func() {
+		if rec := recover(); rec != nil {
+			w.panicked = rec
+		}
+	}()
+	sp := job.tr.Begin(job.tk, "drain")
+	var q rast.Quad
+	for _, gi := range w.groups {
+		b := job.buckets[gi]
+		for i := range b {
+			qw := &b[i]
+			q = rast.Quad{X: int(qw.x), Y: int(qw.y), Mask: qw.mask, Z: qw.z, Tri: qw.tri}
+			w.processQuad(&q, job.fs, &job.zstate, &job.ropState, job.earlyZ, qw.front)
+		}
+	}
+	if job.tr != nil {
+		sp.EndArgs(map[string]any{
+			"quads": int64(w.quads), "buckets": int64(len(w.groups)),
+		})
+	}
+}
+
+// quadWork is one binned quad: the rasterizer's scratch quad with
+// 32-bit coordinates, plus the facing of its triangle (which selects the
+// stencil op set). It takes 40 bytes against 56 for a rast.Quad plus the
+// flag, which matters because the two bin sets hold two draws' quads.
 type quadWork struct {
-	q     rast.Quad
+	x, y  int32
+	mask  uint8
 	front bool
+	z     [4]float32
+	tri   *rast.SetupTri
 }
 
 // surface is one renderable color + depth pair: the backbuffer or an
-// off-screen render target. Each carries its own bucket geometry for the
-// tile-parallel backend (targets differ in size) and, for render
+// off-screen render target. Each carries its own bucket-grid width for
+// the tile-parallel backend (targets differ in size) and, for render
 // targets, its own counter registries so per-pass metrics can be
 // labeled. The backbuffer's counters stay in the GPU's main registries,
 // keeping forward-only snapshots byte-identical to the single-surface
@@ -229,19 +281,39 @@ type surface struct {
 	// standard prefixes; nil for the backbuffer.
 	reg  *metrics.Registry
 	wreg []*metrics.Registry
-	// Parallel-backend bucket geometry (see binner).
-	bucketPx int
-	groupsX  int
-	buckets  [][]quadWork
+	// groupsX is the number of buckets per row of 8x8 blocks (see
+	// binner).
+	groupsX int
 }
 
-// initBuckets sizes the parallel-assignment bucket grid for the surface.
-func (s *surface) initBuckets(bucketBlocks int) {
-	blocksX := (s.w + tileDim - 1) / tileDim
-	s.bucketPx = tileDim * bucketBlocks
-	s.groupsX = (blocksX + bucketBlocks - 1) / bucketBlocks
-	groupsY := (s.h + tileDim - 1) / tileDim
-	s.buckets = make([][]quadWork, s.groupsX*groupsY)
+// binSet is the binned work of one draw: its triangle setups (queued
+// quads point into them), the bucket grid and the non-empty bucket
+// indices. The GPU owns two and alternates between them, so the front
+// end can bin one draw while the workers drain the previous one.
+type binSet struct {
+	setups  []rast.SetupTri
+	buckets [][]quadWork
+	touched []int32
+}
+
+// recycle empties the set's buckets, keeping their capacity.
+func (b *binSet) recycle() {
+	for _, gi := range b.touched {
+		b.buckets[gi] = b.buckets[gi][:0]
+	}
+	b.touched = b.touched[:0]
+}
+
+// flight is the draw whose tile workers may still be running.
+type flight struct {
+	bins *binSet // nil when no draw is in flight
+	wg   sync.WaitGroup
+	// Tracing: the draw's start, triangle count and sequence number,
+	// for its sampled draw span.
+	sampled bool
+	start   int64
+	tris    int
+	draw    uint64
 }
 
 // GPU is the pipeline simulator.
@@ -261,12 +333,17 @@ type GPU struct {
 	serial pipe    // serial backend over the stages above
 	emit   emitCtx // reusable serial emitter (no per-draw closure)
 
-	// Tile-parallel backend state (Cfg.TileWorkers > 1).
+	// Tile-parallel backend state (Cfg.TileWorkers > 1). Successive draws
+	// alternate between the two bin sets, each sized for the largest
+	// surface: a surface switch drains first, so the draw in flight and
+	// the draw being binned always share one surface.
 	workers  []*tileWorker
-	touched  []int32         // non-empty bucket indices this draw
-	order    []int32         // assignment scratch: touched sorted by load
-	loads    []int           // assignment scratch: per-worker quad counts
-	setupBuf []rast.SetupTri // per-draw triangle setups, reused
+	bins     [2]binSet
+	next     int     // index into bins of the next draw
+	inflight flight  // the draw whose workers may be running
+	bucketPx int     // bucket width in pixels
+	order    []int32 // assignment scratch: touched sorted by load
+	loads    []int   // assignment scratch: per-worker quad counts
 
 	// Multipass state: back is the backbuffer surface, cur the surface
 	// draws currently land in, rtSurfs the off-screen targets in
@@ -408,9 +485,8 @@ func New(cfg Config) *GPU {
 		g.back.wz = append(g.back.wz, w.zbuf)
 		g.back.wt = append(g.back.wt, w.target)
 	}
-	if cfg.TileWorkers > 1 {
-		g.back.initBuckets(cfg.TileBucketBlocks)
-	}
+	g.bucketPx = tileDim * cfg.TileBucketBlocks
+	g.initBuckets(g.back)
 	g.cur = g.back
 	g.rtByRT = map[*gfxapi.RenderTarget]*surface{}
 	if cfg.Trace != nil {
@@ -423,11 +499,34 @@ func New(cfg Config) *GPU {
 	return g
 }
 
+// initBuckets sets the surface's bucket-grid width and grows both bin
+// sets' grids to cover it. Only called with no draw in flight.
+func (g *GPU) initBuckets(s *surface) {
+	if len(g.workers) == 0 {
+		return
+	}
+	bucketBlocks := g.bucketPx / tileDim
+	blocksX := (s.w + tileDim - 1) / tileDim
+	s.groupsX = (blocksX + bucketBlocks - 1) / bucketBlocks
+	n := s.groupsX * ((s.h + tileDim - 1) / tileDim)
+	for i := range g.bins {
+		if b := &g.bins[i]; len(b.buckets) < n {
+			b.buckets = append(b.buckets, make([][]quadWork, n-len(b.buckets))...)
+		}
+	}
+}
+
 // Target exposes the render target (for image inspection).
-func (g *GPU) Target() *rop.Target { return g.target }
+func (g *GPU) Target() *rop.Target {
+	g.drain()
+	return g.target
+}
 
 // ZBuffer exposes the depth/stencil buffer (for inspection).
-func (g *GPU) ZBuffer() *zst.Buffer { return g.zbuf }
+func (g *GPU) ZBuffer() *zst.Buffer {
+	g.drain()
+	return g.zbuf
+}
 
 // Frames returns the completed per-frame statistics.
 func (g *GPU) Frames() []FrameStats { return g.frames }
@@ -457,7 +556,9 @@ func (e *emitCtx) EmitQuad(q *rast.Quad) {
 	e.g.serial.processQuad(q, e.fs, &e.zstate, &e.ropState, e.earlyZ, e.front)
 }
 
-// Execute runs one draw call through the whole pipeline.
+// Execute runs one draw call through the whole pipeline. With tile
+// workers it returns while the draw's fragment work may still run; the
+// next call into the GPU completes it (see executeParallel).
 func (g *GPU) Execute(dc *gfxapi.DrawCall) {
 	// Load the unified constant file into both shader stages.
 	g.vsMachine.Consts = dc.Consts
@@ -525,35 +626,37 @@ func (g *GPU) Execute(dc *gfxapi.DrawCall) {
 // in submission order. Buckets are handed to workers wholesale after
 // rasterization, so binning itself never touches worker state.
 type binner struct {
-	g     *GPU
-	front bool
+	set      *binSet
+	groupsX  int
+	bucketPx int
+	front    bool
 }
 
 // EmitQuad bins one quad to its bucket.
 func (bn *binner) EmitQuad(q *rast.Quad) {
-	g := bn.g
-	s := g.cur
 	// Quads are 2x2 at even coordinates, so a quad never straddles an
 	// 8x8 block; the top-left pixel identifies the bucket.
-	gi := (q.Y/tileDim)*s.groupsX + q.X/s.bucketPx
-	b := &s.buckets[gi]
+	gi := (q.Y/tileDim)*bn.groupsX + q.X/bn.bucketPx
+	b := &bn.set.buckets[gi]
 	if len(*b) == 0 {
-		g.touched = append(g.touched, int32(gi))
+		bn.set.touched = append(bn.set.touched, int32(gi))
 	}
-	*b = append(*b, quadWork{q: *q, front: bn.front})
+	*b = append(*b, quadWork{
+		x: int32(q.X), y: int32(q.Y), mask: q.Mask, front: bn.front, z: q.Z, tri: q.Tri,
+	})
 }
 
-// assignBuckets distributes this draw's non-empty buckets over the
-// workers with greedy longest-processing-time scheduling: buckets
-// sorted by quad count (descending, bucket index breaking ties) each go
-// to the least-loaded worker so far. The assignment is deterministic,
-// and because the per-draw barrier means ownership only has to be
-// stable within one draw, it can follow the load of every draw
-// individually — round-robin block ownership left workers idle whenever
-// the draw's coverage was spatially clustered.
-func (g *GPU) assignBuckets() {
-	buckets := g.cur.buckets
-	g.order = append(g.order[:0], g.touched...)
+// assignBuckets distributes a draw's non-empty buckets over the workers
+// with greedy longest-processing-time scheduling: buckets sorted by quad
+// count (descending, bucket index breaking ties) each go to the
+// least-loaded worker so far. The assignment is deterministic, and
+// because each draw's workers are drained before the next draw's start,
+// ownership only has to be stable within one draw, so it can follow the
+// load of every draw individually — round-robin block ownership left
+// workers idle whenever the draw's coverage was spatially clustered.
+func (g *GPU) assignBuckets(set *binSet) {
+	buckets := set.buckets
+	g.order = append(g.order[:0], set.touched...)
 	sort.Slice(g.order, func(i, j int) bool {
 		a, b := g.order[i], g.order[j]
 		la, lb := len(buckets[a]), len(buckets[b])
@@ -591,13 +694,62 @@ func (g *GPU) assignBuckets() {
 	}
 }
 
-// executeParallel runs the draw's fragment backend tile-parallel:
-// serial setup + binning into buckets, load-aware bucket assignment,
-// then one goroutine per worker draining its buckets in submission
-// order. The per-draw barrier keeps Clear and EndFrame (main-thread
-// operations) trivially safe.
+// executeParallel runs the draw's fragment backend tile-parallel, with
+// the front end of this draw overlapping the workers of the previous
+// one:
+//
+//  1. set up and bin this draw into the bin set the previous draw does
+//     not use;
+//  2. drain the previous draw: wait for its workers, recycle its bin set
+//     and emit its sampled draw span;
+//  3. bind the worker constants and textures, assign the buckets and
+//     launch one goroutine per worker, then return without waiting.
+//
+// The overlap is exact. The front end reads and writes only main-thread
+// state (the geometry pipeline, the rasterizer, the shared memory
+// controller's CP and vertex clients, its own bin set), never a
+// worker's shard, and the workers read only per-draw copies (drawJob,
+// their own bucket lists, constants bound after the drain). Every other
+// entry point drains first (see drain), so Clear, render-target
+// switches and resolves, snapshots and EndFrame see the workers idle.
 func (g *GPU) executeParallel(tris []geom.Triangle, dc *gfxapi.DrawCall,
 	rcfg rast.Config, zstate *zst.State, earlyZ bool, drawStart int64) {
+
+	// Setups must outlive binning (queued quads point into them), so
+	// they live in the bin set, reused across draws. Stale pointers into
+	// an outgrown backing array stay valid: setups are never mutated
+	// after SetupInto.
+	var binStart int64
+	if g.gt != nil {
+		binStart = obsv.Nanotime()
+	}
+	set := &g.bins[g.next]
+	set.setups = set.setups[:0]
+	bn := binner{set: set, groupsX: g.cur.groupsX, bucketPx: g.bucketPx}
+	for i := range tris {
+		tri := &tris[i]
+		if len(set.setups) == cap(set.setups) {
+			set.setups = append(set.setups, rast.SetupTri{})
+		} else {
+			set.setups = set.setups[:len(set.setups)+1]
+		}
+		s := &set.setups[len(set.setups)-1]
+		if !rast.SetupInto(tri, s) {
+			set.setups = set.setups[:len(set.setups)-1]
+			continue
+		}
+		bn.front = tri.FrontFacing
+		g.rast.RasterizeTo(s, rcfg, &bn)
+	}
+	if g.gt != nil {
+		g.gt.serial.lap(stRast, &binStart)
+	}
+
+	if rec := g.wait(); rec != nil {
+		// The previous draw panicked: this draw never runs.
+		set.recycle()
+		panic(rec)
+	}
 
 	for _, w := range g.workers {
 		w.fs.Consts = dc.Consts
@@ -607,76 +759,65 @@ func (g *GPU) executeParallel(tris []geom.Triangle, dc *gfxapi.DrawCall,
 			}
 		}
 	}
+	g.assignBuckets(set)
 
-	// Setups must outlive binning (queued quads point into them), so
-	// they live in a per-draw scratch slice reused across draws. Stale
-	// pointers into an outgrown backing array stay valid: setups are
-	// never mutated after SetupInto.
-	var binStart int64
+	f := &g.inflight
+	f.bins, f.tris = set, len(tris)
+	job := drawJob{fs: dc.FS, zstate: *zstate, ropState: dc.State.Rop, earlyZ: earlyZ, buckets: set.buckets}
 	if g.gt != nil {
-		binStart = obsv.Nanotime()
-	}
-	g.setupBuf = g.setupBuf[:0]
-	bn := binner{g: g}
-	for i := range tris {
-		tri := &tris[i]
-		if len(g.setupBuf) == cap(g.setupBuf) {
-			g.setupBuf = append(g.setupBuf, rast.SetupTri{})
-		} else {
-			g.setupBuf = g.setupBuf[:len(g.setupBuf)+1]
+		f.start, f.draw = drawStart, g.gt.draws
+		f.sampled = g.gt.tr.Sampled(g.gt.draws)
+		if f.sampled {
+			job.tr = g.gt.tr
 		}
-		s := &g.setupBuf[len(g.setupBuf)-1]
-		if !rast.SetupInto(tri, s) {
-			g.setupBuf = g.setupBuf[:len(g.setupBuf)-1]
-			continue
-		}
-		bn.front = tri.FrontFacing
-		g.rast.RasterizeTo(s, rcfg, &bn)
 	}
-	g.assignBuckets()
-	sampled := false
-	if g.gt != nil {
-		g.gt.serial.lap(stRast, &binStart)
-		sampled = g.gt.tr.Sampled(g.gt.draws)
-	}
-
-	var wg sync.WaitGroup
 	for wi, w := range g.workers {
 		if len(w.groups) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(wi int, w *tileWorker) {
-			defer wg.Done()
-			var sp obsv.Span
-			if sampled {
-				sp = g.gt.tr.Begin(g.gt.workerTk[wi], "drain")
-			}
-			ropState := dc.State.Rop
-			zs := *zstate
-			for _, gi := range w.groups {
-				b := g.cur.buckets[gi]
-				for i := range b {
-					qw := &b[i]
-					w.processQuad(&qw.q, dc.FS, &zs, &ropState, earlyZ, qw.front)
-				}
-			}
-			if sampled {
-				sp.EndArgs(map[string]any{
-					"quads": int64(w.quads), "buckets": int64(len(w.groups)),
-				})
-			}
-		}(wi, w)
+		if job.tr != nil {
+			job.tk = g.gt.workerTk[wi]
+		}
+		f.wg.Add(1)
+		go w.run(job, &f.wg)
 	}
-	wg.Wait()
-	for _, gi := range g.touched {
-		g.cur.buckets[gi] = g.cur.buckets[gi][:0]
+	g.next ^= 1
+}
+
+// wait completes the in-flight draw, if any: it waits for the draw's
+// workers, recycles its bin set and emits its sampled draw span. It
+// returns the panic of the lowest-index worker that panicked, after
+// every worker has exited.
+func (g *GPU) wait() any {
+	f := &g.inflight
+	if f.bins == nil {
+		return nil
 	}
-	g.touched = g.touched[:0]
-	if sampled {
-		now := obsv.Nanotime()
-		g.gt.tr.Emit(g.gt.drawTk, "draw", drawStart, now-drawStart,
-			map[string]any{"tris": int64(len(tris)), "draw": int64(g.gt.draws)})
+	f.wg.Wait()
+	var rec any
+	for _, w := range g.workers {
+		if rec == nil {
+			rec = w.panicked
+		}
+		w.panicked = nil
+	}
+	f.bins.recycle()
+	f.bins = nil
+	if f.sampled {
+		g.gt.tr.Emit(g.gt.drawTk, "draw", f.start, obsv.Nanotime()-f.start,
+			map[string]any{"tris": int64(f.tris), "draw": int64(f.draw)})
+		f.sampled = false
+	}
+	return rec
+}
+
+// drain completes the in-flight draw and re-raises a worker's panic on
+// the caller's goroutine. Every entry point except Execute calls it
+// before touching state the tile workers own, so no worker goroutine
+// outlives a drain point; Execute drains after binning its own draw.
+func (g *GPU) drain() {
+	if rec := g.wait(); rec != nil {
+		panic(rec)
 	}
 }
 
@@ -756,6 +897,7 @@ func (p *pipe) processQuad(q *rast.Quad, fs *shader.Program,
 
 // Clear fast-clears the requested buffers of the bound surface.
 func (g *GPU) Clear(op gfxapi.ClearOp) {
+	g.drain()
 	g.Mem.Read(mem.ClientCP, 64)
 	switch {
 	case op.ClearDepth:
@@ -772,6 +914,9 @@ func (g *GPU) Clear(op gfxapi.ClearOp) {
 // statistics. Shard caches flush in worker order, so the merged
 // counters are deterministic for a fixed worker count.
 func (g *GPU) EndFrame() {
+	// The wait for the last draw's workers is charged to no stage, as in
+	// Execute: the workers' own clocks cover their busy time.
+	g.drain()
 	var mark int64
 	if g.gt != nil {
 		mark = obsv.Nanotime()
@@ -811,6 +956,7 @@ func (g *GPU) EndFrame() {
 // counters. This is the machine-readable view behind both FrameStats
 // and the `attilasim -metrics` export.
 func (g *GPU) MetricsSnapshot() metrics.Snapshot {
+	g.drain()
 	s := g.reg.Snapshot()
 	for _, w := range g.workers {
 		s.Merge(w.reg.Snapshot())
@@ -832,6 +978,7 @@ func (g *GPU) MetricsSnapshot() metrics.Snapshot {
 // dimension of the z/color cache and bandwidth metrics. Nil when the
 // workload never left the backbuffer.
 func (g *GPU) PassSnapshots() []metrics.Snapshot {
+	g.drain()
 	if len(g.rtSurfs) == 0 {
 		return nil
 	}
@@ -851,6 +998,7 @@ func (g *GPU) PassSnapshots() []metrics.Snapshot {
 // shards, and per-surface registries binding the standard z/color
 // counter names (so pass snapshots Merge into the aggregate).
 func (g *GPU) CreateRenderTarget(rt *gfxapi.RenderTarget) {
+	g.drain()
 	g.ensureSurface(rt)
 }
 
@@ -858,6 +1006,7 @@ func (g *GPU) CreateRenderTarget(rt *gfxapi.RenderTarget) {
 // surface backing rt (nil selects the backbuffer). Draws and clears
 // between here and the next swap land in that surface.
 func (g *GPU) SetRenderTarget(rt *gfxapi.RenderTarget) {
+	g.drain()
 	s := g.back
 	if rt != nil {
 		s = g.ensureSurface(rt)
@@ -875,6 +1024,7 @@ func (g *GPU) SetRenderTarget(rt *gfxapi.RenderTarget) {
 // one color-plane read, one texture-footprint write — is charged to the
 // shared memory controller.
 func (g *GPU) ResolveRenderTarget(rt *gfxapi.RenderTarget) []texture.RGBA {
+	g.drain()
 	s := g.ensureSurface(rt)
 	s.zbuf.FlushCache()
 	for _, wz := range s.wz {
@@ -929,9 +1079,7 @@ func (g *GPU) ensureSurface(rt *gfxapi.RenderTarget) *surface {
 		s.wt = append(s.wt, wt)
 		s.wreg = append(s.wreg, wr)
 	}
-	if g.Cfg.TileWorkers > 1 {
-		s.initBuckets(g.Cfg.TileBucketBlocks)
-	}
+	g.initBuckets(s)
 	g.rtSurfs = append(g.rtSurfs, s)
 	g.rtByRT[rt] = s
 	return s
@@ -941,6 +1089,7 @@ func (g *GPU) ensureSurface(rt *gfxapi.RenderTarget) *surface {
 // shard=0..N-1 (nil for the serial pipeline) — the per-worker
 // granularity of the metrics export.
 func (g *GPU) ShardSnapshots() []metrics.Snapshot {
+	g.drain()
 	if len(g.workers) == 0 {
 		return nil
 	}

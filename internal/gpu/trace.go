@@ -60,7 +60,7 @@ var stageAttrPrefixes = [numStages][]string{
 
 // stageClock accumulates per-stage busy nanoseconds. Each clock has a
 // single writer (the serial pipe or one tile worker), so no atomics:
-// the frame-end reader runs after the draw barrier.
+// the frame-end reader runs after the drain.
 type stageClock struct {
 	ns [numStages]int64
 }
@@ -176,6 +176,7 @@ func (t *gpuTracer) endFrame(diff metrics.Snapshot) {
 // the stage clocks only run while tracing. cmd/benchjson derives the
 // per-stage wall-clock shares in BENCH_pipeline.json from this.
 func (g *GPU) StageNanos() map[string]int64 {
+	g.drain()
 	if g.gt == nil {
 		return nil
 	}
