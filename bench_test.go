@@ -130,7 +130,7 @@ func simBench(b *testing.B, demo string, report func(*core.MicroResult)) {
 	prof := gpuchar.ProfileByName(demo)
 	var last *core.MicroResult
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunMicro(prof, 1, w, h)
+		r, err := gpuchar.CharacterizeConfig(prof, 1, gpuchar.R520Config(w, h))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func ablationRun(b *testing.B, demo string, tweak func(*gpuchar.GPUConfig),
 		if tweak != nil {
 			tweak(&cfg)
 		}
-		r, err := core.RunMicroConfig(prof, 1, cfg)
+		r, err := gpuchar.CharacterizeConfig(prof, 1, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

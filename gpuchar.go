@@ -158,20 +158,20 @@ func NewWorkload(p *Profile, d *Device, w, h int) *Workload {
 // ProfileAPI runs frames of a demo at the API level (null backend) and
 // returns its Table III/IV/V/XII statistics.
 func ProfileAPI(p *Profile, frames int) (*APIResult, error) {
-	return core.RunAPI(p, frames)
+	return core.RenderAPI(p, frames, nil, nil)
 }
 
 // Characterize simulates frames of a demo through the R520-like GPU at
 // 1024x768 and returns its microarchitectural characterization
 // (Tables VII-XVII).
 func Characterize(p *Profile, frames int) (*MicroResult, error) {
-	return core.RunMicro(p, frames, 1024, 768)
+	return core.RenderMicro(p, frames, gpu.R520Config(1024, 768), core.MicroHooks{})
 }
 
 // CharacterizeConfig is Characterize with an explicit GPU configuration,
 // for ablation studies.
 func CharacterizeConfig(p *Profile, frames int, cfg GPUConfig) (*MicroResult, error) {
-	return core.RunMicroConfig(p, frames, cfg)
+	return core.RenderMicro(p, frames, cfg, core.MicroHooks{})
 }
 
 // MicroResultFromGPU wraps an already-run GPU's frames as a MicroResult.

@@ -15,7 +15,7 @@ func runSmall(t *testing.T, demo string, tweak func(*gpu.Config)) *MicroResult {
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	r, err := RunMicroConfig(workloads.ByName(demo), 1, cfg)
+	r, err := RenderMicro(workloads.ByName(demo), 1, cfg, MicroHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestResolutionInvariance(t *testing.T) {
 		t.Skip("simulation")
 	}
 	small := runSmall(t, "UT2004/Primeval", nil)
-	big, err := RunMicroConfig(workloads.ByName("UT2004/Primeval"), 1,
-		gpu.R520Config(512, 384))
+	big, err := RenderMicro(workloads.ByName("UT2004/Primeval"), 1,
+		gpu.R520Config(512, 384), MicroHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

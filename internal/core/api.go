@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"gpuchar/internal/gfxapi"
 	"gpuchar/internal/stats"
 	"gpuchar/internal/workloads"
@@ -14,30 +12,6 @@ import (
 type APIResult struct {
 	Prof   *workloads.Profile
 	Frames []gfxapi.FrameStats
-}
-
-// RunAPI renders frames of the demo against a null backend, collecting
-// API statistics only — the equivalent of replaying a captured trace
-// through the paper's statistics gatherer.
-func RunAPI(prof *workloads.Profile, frames int) (*APIResult, error) {
-	return runAPIHooked(prof, frames, nil)
-}
-
-// runAPIHooked is RunAPI plus an optional per-frame completion
-// callback, the Context's instrumented path.
-func runAPIHooked(prof *workloads.Profile, frames int, onFrame func(frame int)) (*APIResult, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("core: nil profile")
-	}
-	dev := gfxapi.NewDevice(prof.API, gfxapi.NullBackend{})
-	wl := workloads.New(prof, dev, 1024, 768)
-	wl.OnFrame = onFrame
-	// Scale two-region demos so short runs sample both regions.
-	wl.SetRegionBoundary(frames / 2)
-	if err := runGuarded(prof.Name, dev, wl, frames); err != nil {
-		return nil, err
-	}
-	return &APIResult{Prof: prof, Frames: dev.Frames()}, nil
 }
 
 // AvgIndicesPerFrame returns the Table III indices-per-frame average.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"gpuchar/internal/gpu"
 	"gpuchar/internal/workloads"
 )
 
@@ -48,7 +49,7 @@ func TestPaperDataComplete(t *testing.T) {
 
 func TestRunAPIMatchesPaper(t *testing.T) {
 	prof := workloads.ByName("Quake4/demo4")
-	r, err := RunAPI(prof, 100)
+	r, err := RenderAPI(prof, 100, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestRunAPIMatchesPaper(t *testing.T) {
 func TestRunMicroSmall(t *testing.T) {
 	// A reduced-resolution run exercises every derived metric cheaply.
 	prof := workloads.ByName("UT2004/Primeval")
-	r, err := RunMicro(prof, 2, 256, 192)
+	r, err := RenderMicro(prof, 2, gpu.R520Config(256, 192), MicroHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"gpuchar/internal/gpu"
 	"gpuchar/internal/hwconfig"
@@ -50,11 +49,6 @@ type Context struct {
 	// ExperimentErrors aggregate instead of aborting on the first
 	// casualty. The surviving rows are byte-identical to a clean run.
 	KeepGoing bool
-	// Deadline, when positive, bounds each experiment's wall-clock time
-	// in RunExperiments. An overrunning experiment is reported as failed
-	// (the simulation has no cancellation points, so its goroutine is
-	// abandoned and its eventual result discarded).
-	Deadline time.Duration
 	// Trace, when non-nil, receives the whole sweep's spans on one
 	// timeline: per-experiment spans plus every demo render's frame,
 	// stage and draw spans (see internal/obsv). The `characterize
@@ -106,84 +100,81 @@ func NewContext() *Context {
 // API returns (and caches) the API-level run of a demo. Failures are
 // cached too, so a poisoned demo renders (and fails) once per sweep.
 func (c *Context) API(name string) (*APIResult, error) {
-	c.mu.Lock()
-	if c.apiCache == nil {
-		c.apiCache = map[string]*APIResult{}
-		c.apiErr = map[string]error{}
-	}
-	if r, ok := c.apiCache[name]; ok {
-		c.mu.Unlock()
-		return r, nil
-	}
-	if err, ok := c.apiErr[name]; ok {
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.mu.Unlock()
-	prof := workloads.ByName(name)
-	if prof == nil {
-		return nil, fmt.Errorf("core: unknown demo %q", name)
-	}
-	r, err := runAPIHooked(prof, c.APIFrames, func(frame int) {
-		c.Progress.FrameDone(name, frame)
+	return memo(c, &c.apiCache, &c.apiErr, name, func(prof *workloads.Profile) (*APIResult, error) {
+		return RenderAPI(prof, c.APIFrames, nil, func(frame int, _ func() *APICheckpoint) error {
+			c.Progress.FrameDone(name, frame)
+			return nil
+		})
 	})
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
-		c.apiErr[name] = err
-		return nil, err
-	}
-	c.apiCache[name] = r
-	return r, nil
 }
 
 // Micro returns (and caches) the simulated run of a demo. Failures are
 // cached too, so a poisoned demo simulates (and fails) once per sweep.
 func (c *Context) Micro(name string) (*MicroResult, error) {
+	return memo(c, &c.microCache, &c.microErr, name, func(prof *workloads.Profile) (*MicroResult, error) {
+		cfg := c.GPUConfig()
+		cfg.Trace = c.tracer()
+		cfg.TraceProcess = name
+		return RenderMicro(prof, c.SimFrames, cfg, MicroHooks{
+			OnGPU: func(g *gpu.GPU) func() {
+				c.addLiveGPU(name, g)
+				return func() { c.removeLiveGPU(name) }
+			},
+			OnFrame: func(frame int, _ metrics.Snapshot) error {
+				c.Progress.FrameDone(name, frame)
+				return nil
+			},
+		})
+	})
+}
+
+// memo serves a demo's render, or its failure, from one of the
+// context's caches, rendering it on a miss.
+func memo[R any](c *Context, results *map[string]R, errs *map[string]error, name string,
+	render func(*workloads.Profile) (R, error)) (R, error) {
+
+	var zero R
 	c.mu.Lock()
-	if c.microCache == nil {
-		c.microCache = map[string]*MicroResult{}
-		c.microErr = map[string]error{}
-	}
-	if r, ok := c.microCache[name]; ok {
+	if r, ok := (*results)[name]; ok {
 		c.mu.Unlock()
 		return r, nil
 	}
-	if err, ok := c.microErr[name]; ok {
+	if err, ok := (*errs)[name]; ok {
 		c.mu.Unlock()
-		return nil, err
+		return zero, err
 	}
 	c.mu.Unlock()
 	prof := workloads.ByName(name)
 	if prof == nil {
-		return nil, fmt.Errorf("core: unknown demo %q", name)
+		return zero, fmt.Errorf("core: unknown demo %q", name)
 	}
-	cfg := c.gpuConfig()
-	cfg.Trace = c.tracer()
-	cfg.TraceProcess = name
-	r, err := runMicroHooked(prof, c.SimFrames, cfg, microHooks{
-		onFrame: func(frame int) { c.Progress.FrameDone(name, frame) },
-		onGPU: func(g *gpu.GPU) func() {
-			c.addLiveGPU(name, g)
-			return func() { c.removeLiveGPU(name) }
-		},
-	})
+	r, err := render(prof)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
-		c.microErr[name] = err
-		return nil, err
+		store(errs, name, err)
+		return zero, err
 	}
-	c.microCache[name] = r
+	store(results, name, r)
 	return r, nil
 }
 
-// gpuConfig materializes the context's hardware point. With no variant
-// (or the default one) this is exactly the seed's gpu.R520Config +
-// TileWorkers wiring; otherwise the variant decides, with the context's
-// resolution and tile fan-out filling whatever the variant leaves as
-// "inherit".
-func (c *Context) gpuConfig() gpu.Config {
+// store sets m[name] = v, allocating the map on first use. Callers hold
+// the context mutex.
+func store[V any](m *map[string]V, name string, v V) {
+	if *m == nil {
+		*m = map[string]V{}
+	}
+	(*m)[name] = v
+}
+
+// GPUConfig materializes the context's hardware point — the one place
+// that decides how a variant pins resolution and tile fan-out. With no
+// variant (or the default one) this is exactly the seed's
+// gpu.R520Config + TileWorkers wiring; otherwise the variant decides,
+// with the context's resolution and tile fan-out filling whatever the
+// variant leaves as "inherit".
+func (c *Context) GPUConfig() gpu.Config {
 	if c.HW == nil {
 		cfg := gpu.R520Config(c.W, c.H)
 		cfg.TileWorkers = c.TileWorkers
@@ -205,11 +196,8 @@ func (c *Context) skipDemo(demo string, err error) bool {
 		return false
 	}
 	c.mu.Lock()
-	if c.demoErrs == nil {
-		c.demoErrs = map[string]error{}
-	}
 	if _, ok := c.demoErrs[demo]; !ok {
-		c.demoErrs[demo] = err
+		store(&c.demoErrs, demo, err)
 	}
 	c.mu.Unlock()
 	return true
@@ -344,7 +332,7 @@ func runTable1(c *Context) (*Result, error) {
 }
 
 func runTable2(c *Context) (*Result, error) {
-	cfg := c.gpuConfig()
+	cfg := c.GPUConfig()
 	t := &report.Table{
 		ID: "table2", Title: "ATTILA configuration vs R520 (Table II)",
 		Headers: []string{"Parameter", "R520", "Simulator"},

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -66,12 +67,12 @@ func TestKeepGoingPoisonedDemo(t *testing.T) {
 		t.Fatalf("clean run: %v", err)
 	}
 
-	setTestRenderHook(func(demo string) {
+	testRenderHook = func(demo string) {
 		if demo == poisoned {
 			panic("poisoned for test")
 		}
-	})
-	defer setTestRenderHook(nil)
+	}
+	defer func() { testRenderHook = nil }()
 
 	ctx := NewContext()
 	ctx.APIFrames = 8
@@ -114,12 +115,12 @@ func TestKeepGoingPoisonedSimDemo(t *testing.T) {
 		t.Fatalf("clean run: %v", err)
 	}
 
-	setTestRenderHook(func(demo string) {
+	testRenderHook = func(demo string) {
 		if demo == poisoned {
 			panic("poisoned for test")
 		}
-	})
-	defer setTestRenderHook(nil)
+	}
+	defer func() { testRenderHook = nil }()
 
 	ctx := NewContext()
 	ctx.SimFrames = 1
@@ -144,12 +145,12 @@ func TestKeepGoingPoisonedSimDemo(t *testing.T) {
 // KeepGoing the first failure aborts with an *ExperimentError.
 func TestStrictAbortsOnPoisonedDemo(t *testing.T) {
 	const poisoned = "UT2004/Primeval"
-	setTestRenderHook(func(demo string) {
+	testRenderHook = func(demo string) {
 		if demo == poisoned {
 			panic("poisoned for test")
 		}
-	})
-	defer setTestRenderHook(nil)
+	}
+	defer func() { testRenderHook = nil }()
 
 	ctx := NewContext()
 	ctx.APIFrames = 4
@@ -166,25 +167,37 @@ func TestStrictAbortsOnPoisonedDemo(t *testing.T) {
 	}
 }
 
-// TestExperimentDeadline checks the per-experiment watchdog: a render
-// hook stalls the sweep far past the configured deadline.
-func TestExperimentDeadline(t *testing.T) {
-	setTestRenderHook(func(string) { time.Sleep(200 * time.Millisecond) })
-	defer setTestRenderHook(nil)
+// TestKeepGoingLeavesNoGoroutines pins that no render outlives its
+// sweep: after a keep-going fan-out with a poisoned demo returns — the
+// simulated renders with tile workers included — the goroutine count
+// comes back to its baseline.
+func TestKeepGoingLeavesNoGoroutines(t *testing.T) {
+	const poisoned = "UT2004/Primeval"
+	testRenderHook = func(demo string) {
+		if demo == poisoned {
+			panic("poisoned for test")
+		}
+	}
+	defer func() { testRenderHook = nil }()
 
+	base := runtime.NumGoroutine()
 	ctx := NewContext()
 	ctx.APIFrames = 4
-	ctx.Deadline = 5 * time.Millisecond
+	ctx.SimFrames = 1
+	ctx.W, ctx.H = 128, 96
+	ctx.TileWorkers = 2
 	ctx.KeepGoing = true
-	res, err := RunExperiments(ctx, []string{"table3"})
+	ctx.Workers = 4
+	_, err := RunExperiments(ctx, []string{"table3", "table7"})
 	var errs ExperimentErrors
-	if !errors.As(err, &errs) || len(errs) != 1 {
-		t.Fatalf("err = %v, want one deadline failure", err)
+	if !errors.As(err, &errs) || len(errs) != 1 || errs[0].Demo != poisoned {
+		t.Fatalf("err = %v, want one failure for %s", err, poisoned)
 	}
-	if !strings.Contains(errs[0].Error(), "deadline") {
-		t.Errorf("error %q does not mention the deadline", errs[0])
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
 	}
-	if len(res) != 1 || res[0] != nil {
-		t.Errorf("results = %v, want one nil slot", res)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the sweep, %d before", n, base)
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"gpuchar/internal/gfxapi"
 	"gpuchar/internal/gpu"
 	"gpuchar/internal/mem"
 	"gpuchar/internal/metrics"
@@ -26,52 +23,9 @@ type MicroResult struct {
 	Pass []metrics.Snapshot
 }
 
-// RunMicro renders frames of a simulated demo through the GPU simulator
-// at the given resolution (the paper's is 1024x768) with the R520-like
-// Table II configuration.
-func RunMicro(prof *workloads.Profile, frames, w, h int) (*MicroResult, error) {
-	return RunMicroConfig(prof, frames, gpu.R520Config(w, h))
-}
-
-// RunMicroConfig is RunMicro with an explicit GPU configuration, used by
-// the ablation benchmarks.
-func RunMicroConfig(prof *workloads.Profile, frames int, cfg gpu.Config) (*MicroResult, error) {
-	return runMicroHooked(prof, frames, cfg, microHooks{})
-}
-
-// microHooks observe one simulated render: a per-frame completion
-// callback and a live-GPU registration hook whose returned func runs
-// when the render finishes (however it ends). Either may be nil.
-type microHooks struct {
-	onFrame func(frame int)
-	onGPU   func(g *gpu.GPU) (done func())
-}
-
-// runMicroHooked is RunMicroConfig plus observability hooks — the
-// shared body behind the public runner and the Context's instrumented
-// path.
-func runMicroHooked(prof *workloads.Profile, frames int, cfg gpu.Config, h microHooks) (*MicroResult, error) {
-	if prof == nil || !prof.Simulated {
-		return nil, fmt.Errorf("core: profile not simulated")
-	}
-	g := gpu.New(cfg)
-	dev := gfxapi.NewDevice(prof.API, g)
-	wl := workloads.New(prof, dev, cfg.Width, cfg.Height)
-	wl.OnFrame = h.onFrame
-	if h.onGPU != nil {
-		if done := h.onGPU(g); done != nil {
-			defer done()
-		}
-	}
-	if err := runGuarded(prof.Name, dev, wl, frames); err != nil {
-		return nil, err
-	}
-	return MicroResultFromGPU(prof, g, cfg), nil
-}
-
 // MicroResultFromGPU wraps an already-run GPU's frames as a MicroResult,
 // aggregating the per-frame statistics. It is the single place the
-// aggregate is computed, shared by RunMicroConfig and callers that drive
+// aggregate is computed, shared by RenderMicro and callers that drive
 // the pipeline themselves (attilasim's -png path).
 func MicroResultFromGPU(prof *workloads.Profile, g *gpu.GPU, cfg gpu.Config) *MicroResult {
 	r := &MicroResult{Prof: prof, W: cfg.Width, H: cfg.Height, Frames: g.Frames(),

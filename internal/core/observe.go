@@ -71,10 +71,7 @@ func (c *Context) finishExperimentTrace(id string, t *obsv.Tracer) error {
 // addLiveGPU registers an in-flight simulated render for LiveSnapshots.
 func (c *Context) addLiveGPU(demo string, g *gpu.GPU) {
 	c.mu.Lock()
-	if c.liveGPUs == nil {
-		c.liveGPUs = map[string]*gpu.GPU{}
-	}
-	c.liveGPUs[demo] = g
+	store(&c.liveGPUs, demo, g)
 	c.mu.Unlock()
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"gpuchar/internal/obsv"
 )
@@ -126,33 +125,11 @@ func RunExperiments(c *Context, ids []string) ([]*Result, error) {
 	return out, nil
 }
 
-// runExperiment executes one experiment under a recover guard and,
-// when Context.Deadline is set, a watchdog timer.
-func runExperiment(c *Context, e *Experiment) (*Result, error) {
-	if c.Deadline <= 0 {
-		return runRecover(c, e)
-	}
-	type outcome struct {
-		res *Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := runRecover(c, e)
-		ch <- outcome{res, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-time.After(c.Deadline):
-		return nil, fmt.Errorf("deadline %s exceeded", c.Deadline)
-	}
-}
-
-// runRecover converts a panic escaping an experiment's run function
-// (as opposed to a demo render, which runGuarded already covers) into
-// an error, so one broken table generator cannot take down the sweep.
-func runRecover(c *Context, e *Experiment) (res *Result, err error) {
+// runExperiment converts a panic escaping an experiment's run function
+// (as opposed to a demo render, which RenderAPI and RenderMicro already
+// guard) into an error, so one broken table generator cannot take down
+// the sweep.
+func runExperiment(c *Context, e *Experiment) (res *Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			res, err = nil, fmt.Errorf("panic: %v", rec)

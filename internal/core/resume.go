@@ -4,172 +4,18 @@ import (
 	"fmt"
 
 	"gpuchar/internal/gfxapi"
-	"gpuchar/internal/gpu"
 	"gpuchar/internal/metrics"
 	"gpuchar/internal/workloads"
 )
 
-// APICheckpoint is the resumable state of one API-level render at a
-// frame boundary: the generator state plus every frame produced so far.
-// The serve layer persists it so a killed daemon can pick a job back up
-// without replaying the finished frames; TestRunAPIResumableResume pins
-// that the spliced run is bit-identical to a continuous one.
-type APICheckpoint struct {
-	Gen    workloads.GenState
-	Frames []gfxapi.FrameStats
-}
-
-// RunAPIResumable renders an API-level demo like RunAPI, but frame by
-// frame: after each frame onFrame (if non-nil) receives the current
-// checkpoint, and a non-nil return aborts the render with that error —
-// the cancellation point the job scheduler uses. A non-nil start
-// checkpoint skips its completed frames: the workload is Setup fresh
-// (scene content is a deterministic function of the profile), the
-// generator state restored, the duplicate setup burst dropped, and
-// rendering continues at frame start.Gen.FrameIdx.
-func RunAPIResumable(prof *workloads.Profile, frames int,
-	start *APICheckpoint, onFrame func(ck *APICheckpoint) error) (*APIResult, error) {
-
-	if prof == nil {
-		return nil, fmt.Errorf("core: nil profile")
-	}
-	dev := gfxapi.NewDevice(prof.API, gfxapi.NullBackend{})
-	wl := workloads.New(prof, dev, 1024, 768)
-	wl.SetRegionBoundary(frames / 2)
-
-	first := 0
-	var prior []gfxapi.FrameStats
-	if start != nil && start.Gen.FrameIdx > 0 {
-		first = start.Gen.FrameIdx
-		if len(start.Frames) != first {
-			return nil, fmt.Errorf("core: %s: checkpoint has %d frames, frame index %d",
-				prof.Name, len(start.Frames), first)
-		}
-		if first > frames {
-			return nil, fmt.Errorf("core: %s: checkpoint frame %d past requested %d",
-				prof.Name, first, frames)
-		}
-		prior = append(prior, start.Frames...)
-		if err := resumeSetup(prof.Name, dev, wl, start.Gen); err != nil {
-			return nil, err
-		}
-	}
-
-	all := func() []gfxapi.FrameStats {
-		return append(append([]gfxapi.FrameStats{}, prior...), dev.Frames()...)
-	}
-	for f := first; f < frames; f++ {
-		if err := renderOneGuarded(prof.Name, dev, wl, f == 0); err != nil {
-			return nil, err
-		}
-		if onFrame != nil {
-			ck := &APICheckpoint{Gen: wl.GenState(), Frames: all()}
-			if err := onFrame(ck); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return &APIResult{Prof: prof, Frames: all()}, nil
-}
-
-// resumeSetup rebuilds a workload's resources and splices the
-// checkpointed generator state in, under the same recover guard the
-// continuous path uses.
-func resumeSetup(name string, dev *gfxapi.Device, wl *workloads.Workload,
-	gen workloads.GenState) (err error) {
-
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("core: %s: panic during resume setup: %v", name, rec)
-		}
-	}()
-	renderHook(name)
-	if err := wl.Setup(); err != nil {
-		return fmt.Errorf("core: %s: %w", name, err)
-	}
-	wl.SetGenState(gen)
-	// The fresh setup burst belongs to frame 0, which the checkpoint
-	// already carries.
-	dev.DropFrame()
-	return nil
-}
-
-// renderOneGuarded renders a single frame under the runGuarded recover
-// contract (panics become errors naming the demo and stream position).
-// hook fires the test render hook first — set it on the run's first
-// guarded call only, mirroring runGuarded's once-per-render semantics.
-func renderOneGuarded(name string, dev *gfxapi.Device, wl *workloads.Workload, hook bool) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("core: %s: panic at frame %d, batch %d: %v",
-				name, len(dev.Frames()), dev.CurrentFrame().Batches, rec)
-		}
-	}()
-	if hook {
-		renderHook(name)
-	}
-	wl.RenderFrame()
-	return nil
-}
-
-// RunMicroCancelable is RunMicroConfig with a per-frame hook: after
-// each simulated frame onFrame (if non-nil) receives the completed
-// frame index, and a non-nil return aborts the simulation with that
-// error. Simulated renders carry warm texture-cache state across frame
-// boundaries, so unlike the API path there is no mid-demo resume — the
-// scheduler checkpoints simulated work at whole-demo granularity and
-// uses this entry point for frame-boundary cancellation only.
-func RunMicroCancelable(prof *workloads.Profile, frames int, cfg gpu.Config,
-	onFrame func(frame int) error) (*MicroResult, error) {
-
-	var hook func(int, metrics.Snapshot) error
-	if onFrame != nil {
-		hook = func(f int, _ metrics.Snapshot) error { return onFrame(f) }
-	}
-	return RunMicroObserved(prof, frames, cfg, hook)
-}
-
-// RunMicroObserved is RunMicroCancelable with the GPU's frame-boundary
-// state exposed: each callback also receives the cumulative counter
-// snapshot the GPU published at EndFrame (the same snapshot
-// PublishedSnapshot serves to concurrent scrapers). Diffing successive
-// boundaries gives per-frame counter deltas without tracing — the feed
-// behind the explorer's live SSE frame events.
-func RunMicroObserved(prof *workloads.Profile, frames int, cfg gpu.Config,
-	onFrame func(frame int, boundary metrics.Snapshot) error) (*MicroResult, error) {
-
-	if prof == nil || !prof.Simulated {
-		return nil, fmt.Errorf("core: profile not simulated")
-	}
-	g := gpu.New(cfg)
-	dev := gfxapi.NewDevice(prof.API, g)
-	wl := workloads.New(prof, dev, cfg.Width, cfg.Height)
-	for f := 0; f < frames; f++ {
-		if err := renderOneGuarded(prof.Name, dev, wl, f == 0); err != nil {
-			return nil, err
-		}
-		if onFrame != nil {
-			boundary, _ := g.PublishedSnapshot()
-			if err := onFrame(f, boundary); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return MicroResultFromGPU(prof, g, cfg), nil
-}
-
 // SeedAPI installs a pre-computed API result into the context cache, so
 // a subsequent sweep reads it instead of rendering. The serve runner
-// uses it to hand resumable, checkpoint-spliced renders to the
-// experiment code unchanged.
+// uses it to hand checkpoint-spliced renders to the experiment code
+// unchanged.
 func (c *Context) SeedAPI(name string, r *APIResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.apiCache == nil {
-		c.apiCache = map[string]*APIResult{}
-		c.apiErr = map[string]error{}
-	}
-	c.apiCache[name] = r
+	store(&c.apiCache, name, r)
 }
 
 // SeedMicro installs a pre-computed simulated result into the context
@@ -177,11 +23,7 @@ func (c *Context) SeedAPI(name string, r *APIResult) {
 func (c *Context) SeedMicro(name string, r *MicroResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.microCache == nil {
-		c.microCache = map[string]*MicroResult{}
-		c.microErr = map[string]error{}
-	}
-	c.microCache[name] = r
+	store(&c.microCache, name, r)
 }
 
 // NeededDemos reports the demo renders the given experiments demand:
@@ -189,7 +31,7 @@ func (c *Context) SeedMicro(name string, r *MicroResult) {
 // order) and the simulated set. It shares demand resolution with
 // Prefetch, so a context seeded from these renders exports exactly the
 // document a lazy serial sweep would. The serve runner walks the sets
-// with the resumable entry points before seeding a context.
+// with RenderAPI and RenderMicro before seeding a context.
 func NeededDemos(ids []string) (api, micro []string, err error) {
 	return demoDemand(ids)
 }

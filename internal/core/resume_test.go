@@ -5,110 +5,160 @@ import (
 	"testing"
 
 	"gpuchar/internal/gpu"
+	"gpuchar/internal/metrics"
 	"gpuchar/internal/workloads"
 )
 
-// TestRunAPIResumableMatchesRunAPI pins that the frame-by-frame path
-// produces exactly what the one-shot path does.
-func TestRunAPIResumableMatchesRunAPI(t *testing.T) {
+// TestRenderAPIProgressOnly pins that the checkpoint builder is lazy: a
+// callback that never calls it (Context.API's progress feed) adds no
+// per-frame allocation over a render with no callback at all, while one
+// that builds every boundary's checkpoint allocates at least once per
+// frame — and all three renders produce the same frames.
+func TestRenderAPIProgressOnly(t *testing.T) {
 	prof := workloads.ByName("Doom3/trdemo2")
-	want, err := RunAPI(prof, 10)
-	if err != nil {
-		t.Fatal(err)
+	const frames = 20
+	var plain, progress, checkpointed *APIResult
+	var calls int
+	allocs := func(res **APIResult, onFrame func(int, func() *APICheckpoint) error) float64 {
+		return testing.AllocsPerRun(2, func() {
+			r, err := RenderAPI(prof, frames, nil, onFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*res = r
+		})
 	}
-	got, err := RunAPIResumable(prof, 10, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	base := allocs(&plain, nil)
+	lazy := allocs(&progress, func(int, func() *APICheckpoint) error {
+		calls++
+		return nil
+	})
+	eager := allocs(&checkpointed, func(f int, ck func() *APICheckpoint) error {
+		if c := ck(); len(c.Frames) != f+1 || c.Gen.FrameIdx != f+1 {
+			t.Fatalf("frame %d: checkpoint has %d frames, index %d", f, len(c.Frames), c.Gen.FrameIdx)
+		}
+		return nil
+	})
+	if calls != 3*frames {
+		t.Errorf("progress callback ran %d times, want %d", calls, 3*frames)
 	}
-	if len(got.Frames) != len(want.Frames) {
-		t.Fatalf("got %d frames, want %d", len(got.Frames), len(want.Frames))
+	if lazy-base >= frames {
+		t.Errorf("progress-only render allocates %.0f more than a plain one; the checkpoint builder ran", lazy-base)
 	}
-	for i := range want.Frames {
-		if got.Frames[i] != want.Frames[i] {
-			t.Errorf("frame %d differs", i)
+	if eager-base < frames {
+		t.Errorf("checkpointing render allocates only %.0f more than a plain one; the measure cannot see the builder", eager-base)
+	}
+	for _, got := range []*APIResult{progress, checkpointed} {
+		if len(got.Frames) != frames {
+			t.Fatalf("got %d frames, want %d", len(got.Frames), frames)
+		}
+		for i := range plain.Frames {
+			if got.Frames[i] != plain.Frames[i] {
+				t.Errorf("frame %d differs", i)
+			}
 		}
 	}
 }
 
-// TestRunAPIResumableResume kills a render mid-run via the hook, then
-// restarts from the captured checkpoint and checks the spliced result
-// is bit-identical to a continuous run.
-func TestRunAPIResumableResume(t *testing.T) {
-	const total, cut = 10, 4
+// TestRenderAPIResume captures the checkpoint at every frame boundary
+// k of a continuous render, restarts from each and checks the spliced
+// result is bit-identical to the continuous run; a callback error
+// aborts the render with that error.
+func TestRenderAPIResume(t *testing.T) {
+	const total = 10
 	for _, name := range []string{"UT2004/Primeval", "Quake4/demo4", "Oblivion/Anvil Castle"} {
 		t.Run(name, func(t *testing.T) {
 			prof := workloads.ByName(name)
 			if prof == nil {
 				t.Fatalf("unknown demo %q", name)
 			}
-			want, err := RunAPI(prof, total)
+			var cks []*APICheckpoint
+			want, err := RenderAPI(prof, total, nil, func(_ int, ck func() *APICheckpoint) error {
+				cks = append(cks, ck())
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 
+			for k, ck := range cks {
+				if ck.Gen.FrameIdx != k+1 || len(ck.Frames) != k+1 {
+					t.Fatalf("boundary %d: checkpoint index %d, %d frames", k+1, ck.Gen.FrameIdx, len(ck.Frames))
+				}
+				got, err := RenderAPI(prof, total, ck, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Frames) != total {
+					t.Fatalf("resumed at %d: %d frames, want %d", k+1, len(got.Frames), total)
+				}
+				for i := range want.Frames {
+					if got.Frames[i] != want.Frames[i] {
+						t.Errorf("resumed at %d: frame %d differs:\n got %+v\nwant %+v",
+							k+1, i, got.Frames[i], want.Frames[i])
+					}
+				}
+			}
+
 			stop := errors.New("stop")
-			var ck *APICheckpoint
-			_, err = RunAPIResumable(prof, total, nil, func(c *APICheckpoint) error {
-				if c.Gen.FrameIdx == cut {
-					ck = c
+			var last int
+			res, err := RenderAPI(prof, total, nil, func(f int, _ func() *APICheckpoint) error {
+				last = f
+				if f == total/2 {
 					return stop
 				}
 				return nil
 			})
-			if !errors.Is(err, stop) {
-				t.Fatalf("err = %v, want the hook's abort error", err)
+			if !errors.Is(err, stop) || res != nil {
+				t.Fatalf("got %v, %v; want the callback's abort error", res, err)
 			}
-			if ck == nil || len(ck.Frames) != cut {
-				t.Fatalf("checkpoint = %+v, want %d frames", ck, cut)
-			}
-
-			got, err := RunAPIResumable(prof, total, ck, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Frames) != total {
-				t.Fatalf("resumed run has %d frames, want %d", len(got.Frames), total)
-			}
-			for i := range want.Frames {
-				if got.Frames[i] != want.Frames[i] {
-					t.Errorf("frame %d differs after resume:\n got %+v\nwant %+v",
-						i, got.Frames[i], want.Frames[i])
-				}
+			if last != total/2 {
+				t.Errorf("render continued to frame %d after the abort at %d", last, total/2)
 			}
 		})
 	}
 }
 
-// TestRunAPIResumableRejectsBadCheckpoint pins the validation errors.
-func TestRunAPIResumableRejectsBadCheckpoint(t *testing.T) {
+// TestRenderAPIRejectsBadCheckpoint pins the validation errors.
+func TestRenderAPIRejectsBadCheckpoint(t *testing.T) {
 	prof := workloads.ByName("Doom3/trdemo2")
 	bad := &APICheckpoint{Gen: workloads.GenState{FrameIdx: 3}} // 3 frames claimed, 0 carried
-	if _, err := RunAPIResumable(prof, 10, bad, nil); err == nil {
+	if _, err := RenderAPI(prof, 10, bad, nil); err == nil {
 		t.Error("mismatched checkpoint accepted")
 	}
-	ok, err := RunAPIResumable(prof, 4, nil, nil)
+	ok, err := RenderAPI(prof, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	past := &APICheckpoint{Gen: workloads.GenState{FrameIdx: 4}, Frames: ok.Frames}
-	if _, err := RunAPIResumable(prof, 2, past, nil); err == nil {
+	if _, err := RenderAPI(prof, 2, past, nil); err == nil {
 		t.Error("checkpoint past requested frame count accepted")
 	}
 }
 
-// TestRunMicroCancelable pins that the cancelable simulated path matches
-// RunMicroConfig, and that the hook aborts between frames.
-func TestRunMicroCancelable(t *testing.T) {
+// TestRenderMicroCancel pins that the per-frame hook sees every frame
+// boundary with its published snapshot without changing the result,
+// that its error aborts between frames, and that OnGPU's done func runs
+// however the render ends.
+func TestRenderMicroCancel(t *testing.T) {
 	prof := workloads.ByName("Doom3/trdemo2")
 	cfg := gpu.R520Config(160, 120)
-	want, err := RunMicroConfig(prof, 2, cfg)
+	want, err := RenderMicro(prof, 2, cfg, MicroHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var seen []int
-	got, err := RunMicroCancelable(prof, 2, cfg, func(f int) error {
-		seen = append(seen, f)
-		return nil
+	var done int
+	onGPU := func(*gpu.GPU) func() { return func() { done++ } }
+	got, err := RenderMicro(prof, 2, cfg, MicroHooks{
+		OnGPU: onGPU,
+		OnFrame: func(f int, boundary metrics.Snapshot) error {
+			if boundary.Len() == 0 {
+				t.Errorf("frame %d: empty boundary snapshot", f)
+			}
+			seen = append(seen, f)
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +179,21 @@ func TestRunMicroCancelable(t *testing.T) {
 	}
 
 	stop := errors.New("stop")
-	if _, err := RunMicroCancelable(prof, 2, cfg, func(f int) error {
-		return stop
+	seen = nil
+	if _, err := RenderMicro(prof, 2, cfg, MicroHooks{
+		OnGPU: onGPU,
+		OnFrame: func(f int, _ metrics.Snapshot) error {
+			seen = append(seen, f)
+			return stop
+		},
 	}); !errors.Is(err, stop) {
 		t.Errorf("err = %v, want the hook's abort error", err)
+	}
+	if len(seen) != 1 {
+		t.Errorf("render continued past the abort: hook frames %v", seen)
+	}
+	if done != 2 {
+		t.Errorf("OnGPU done ran %d times over two renders", done)
 	}
 }
 
@@ -189,7 +250,7 @@ func TestNeededDemos(t *testing.T) {
 // TestAPIFrameSnapshotRoundTrip pins the checkpoint serialization form.
 func TestAPIFrameSnapshotRoundTrip(t *testing.T) {
 	prof := workloads.ByName("FEAR/interval2")
-	r, err := RunAPI(prof, 2)
+	r, err := RenderAPI(prof, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ func setupTri(t *testing.T) *rast.SetupTri {
 		tr.V[i].Var[0] = gmath.V4(p[0]/64, p[1]/64, 0, 1) // texcoord
 		tr.V[i].Var[1] = gmath.V4(1, 0.5, 0.25, 1)        // flat color
 	}
-	s := rast.Setup(tr)
-	if s == nil {
+	s := &rast.SetupTri{}
+	if !rast.SetupInto(tr, s) {
 		t.Fatal("setup failed")
 	}
 	return s

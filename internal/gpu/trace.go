@@ -173,8 +173,8 @@ func (t *gpuTracer) endFrame(diff metrics.Snapshot) {
 // StageNanos returns the cumulative per-stage busy time (serial pipe
 // plus all tile-worker shards) accumulated since construction, keyed by
 // stage name. It returns nil unless the GPU was created with a tracer —
-// the stage clocks only run while tracing. cmd/benchjson derives the
-// per-stage wall-clock shares in BENCH_pipeline.json from this.
+// the stage clocks only run while tracing. The perfbench traced run
+// (`bash perfbench/run.sh`) derives its per-stage ms/frame from this.
 func (g *GPU) StageNanos() map[string]int64 {
 	g.drain()
 	if g.gt == nil {

@@ -147,7 +147,7 @@ func TestStageSpanAttrsPartitionFrame(t *testing.T) {
 	}
 }
 
-// TestStageNanosAccountsStages checks the benchjson feed: a traced run
+// TestStageNanosAccountsStages checks the perfbench feed: a traced run
 // accumulates busy time for every pipeline stage.
 func TestStageNanosAccountsStages(t *testing.T) {
 	tr := obsv.New(obsv.Options{})

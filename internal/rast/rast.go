@@ -142,12 +142,6 @@ type QuadEmitter interface {
 	EmitQuad(*Quad)
 }
 
-// funcEmitter adapts a plain function to the QuadEmitter interface for
-// the legacy callback API.
-type funcEmitter func(*Quad)
-
-func (f funcEmitter) EmitQuad(q *Quad) { f(q) }
-
 // Rasterizer traverses triangles into quads.
 type Rasterizer struct {
 	stats Stats
@@ -172,21 +166,12 @@ func (r *Rasterizer) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	r.stats.Register(reg, prefix)
 }
 
-// Setup computes the edge and interpolation equations of a screen
-// triangle. It returns nil for triangles with non-positive area (the
-// geometry stage has already oriented front faces counter-clockwise).
-func Setup(tri *geom.Triangle) *SetupTri {
-	s := &SetupTri{}
-	if !SetupInto(tri, s) {
-		return nil
-	}
-	return s
-}
-
-// SetupInto is Setup into caller-owned storage, so per-triangle setup
-// runs without heap allocation on the pipeline's hot path. Every field
-// of s is overwritten. It reports false (s undefined) for triangles
-// with non-positive area.
+// SetupInto computes the edge and interpolation equations of a screen
+// triangle into caller-owned storage, so per-triangle setup runs
+// without heap allocation on the pipeline's hot path. Every field of s
+// is overwritten. It reports false (s undefined) for triangles with
+// non-positive area (the geometry stage has already oriented front
+// faces counter-clockwise).
 func SetupInto(tri *geom.Triangle, s *SetupTri) bool {
 	v0, v1, v2 := &tri.V[0], &tri.V[1], &tri.V[2]
 	area2 := (v1.X-v0.X)*(v2.Y-v0.Y) - (v2.X-v0.X)*(v1.Y-v0.Y)
@@ -236,14 +221,6 @@ func interpPlane(v0, v1, v2 *geom.ScreenVertex, f0, f1, f2, invArea2 float32) pl
 	b := (df20*d10x - df10*d20x) * invArea2
 	c := f0 - a*v0.X - b*v0.Y
 	return plane{a, b, c}
-}
-
-// Rasterize traverses one prepared triangle, invoking emit for every
-// quad with at least one covered fragment. It is the closure-based
-// convenience over RasterizeTo; the pipeline uses RasterizeTo directly
-// so the inner loop carries no closure.
-func (r *Rasterizer) Rasterize(s *SetupTri, cfg Config, emit func(*Quad)) {
-	r.RasterizeTo(s, cfg, funcEmitter(emit))
 }
 
 // RasterizeTo traverses one prepared triangle, passing every quad with

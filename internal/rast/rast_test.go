@@ -18,11 +18,25 @@ func tri(x0, y0, x1, y1, x2, y2 float32) *geom.Triangle {
 	return t
 }
 
+// setup is SetupInto into fresh storage, nil for a rejected triangle.
+func setup(tri *geom.Triangle) *SetupTri {
+	s := &SetupTri{}
+	if !SetupInto(tri, s) {
+		return nil
+	}
+	return s
+}
+
+// emitFunc adapts a function to QuadEmitter.
+type emitFunc func(*Quad)
+
+func (f emitFunc) EmitQuad(q *Quad) { f(q) }
+
 func collect(r *Rasterizer, s *SetupTri, cfg Config) []Quad {
 	var quads []Quad
-	r.Rasterize(s, cfg, func(q *Quad) {
+	r.RasterizeTo(s, cfg, emitFunc(func(q *Quad) {
 		quads = append(quads, *q)
-	})
+	}))
 	return quads
 }
 
@@ -30,11 +44,11 @@ var cfg64 = Config{Width: 64, Height: 64}
 
 func TestSetupRejectsBackfacing(t *testing.T) {
 	// Clockwise triangle: negative area.
-	if s := Setup(tri(0, 0, 0, 10, 10, 0)); s != nil {
+	if s := setup(tri(0, 0, 0, 10, 10, 0)); s != nil {
 		t.Error("backfacing triangle should not set up")
 	}
 	// Degenerate.
-	if s := Setup(tri(0, 0, 5, 5, 10, 10)); s != nil {
+	if s := setup(tri(0, 0, 5, 5, 10, 10)); s != nil {
 		t.Error("degenerate triangle should not set up")
 	}
 }
@@ -43,8 +57,8 @@ func TestFullSquareCoverage(t *testing.T) {
 	// Two triangles covering exactly a 16x16 square: fragment count
 	// must equal 256 with no double counting on the shared diagonal.
 	r := New()
-	t1 := Setup(tri(0, 0, 16, 0, 16, 16))
-	t2 := Setup(tri(0, 0, 16, 16, 0, 16))
+	t1 := setup(tri(0, 0, 16, 0, 16, 16))
+	t2 := setup(tri(0, 0, 16, 16, 0, 16))
 	if t1 == nil || t2 == nil {
 		t.Fatal("setup failed")
 	}
@@ -71,7 +85,7 @@ func TestSharedEdgeNoDoubleCount(t *testing.T) {
 		{0, 32, 0, 0, 16, 16},
 	}
 	for _, p := range pts {
-		s := Setup(tri(p[0], p[1], p[2], p[3], p[4], p[5]))
+		s := setup(tri(p[0], p[1], p[2], p[3], p[4], p[5]))
 		if s == nil {
 			t.Fatalf("setup failed for %v", p)
 		}
@@ -88,7 +102,7 @@ func TestQuadMaskLayout(t *testing.T) {
 	// A tiny triangle covering only pixel (2,2) yields one quad at
 	// (2,2) with mask bit 0.
 	r := New()
-	s := Setup(tri(2, 2, 3.2, 2, 2, 3.2))
+	s := setup(tri(2, 2, 3.2, 2, 2, 3.2))
 	quads := collect(r, s, cfg64)
 	if len(quads) != 1 {
 		t.Fatalf("quads = %d", len(quads))
@@ -114,7 +128,7 @@ func TestZInterpolation(t *testing.T) {
 	tr.V[0] = geom.ScreenVertex{X: 0, Y: 0, Z: 0, InvW: 1}
 	tr.V[1] = geom.ScreenVertex{X: 32, Y: 0, Z: 1, InvW: 1}
 	tr.V[2] = geom.ScreenVertex{X: 0, Y: 32, Z: 0, InvW: 1}
-	s := Setup(tr)
+	s := setup(tr)
 	if s == nil {
 		t.Fatal("setup failed")
 	}
@@ -143,7 +157,7 @@ func TestVaryingPerspectiveCorrection(t *testing.T) {
 	tr.V[1].Var[0] = gmath.V4(1, 0, 0, 0).Scale(tr.V[1].InvW)
 	tr.V[2] = geom.ScreenVertex{X: 0, Y: 32, Z: 0, InvW: 1}
 	tr.V[2].Var[0] = gmath.V4(0, 0, 0, 0).Scale(tr.V[2].InvW)
-	s := Setup(tr)
+	s := setup(tr)
 	if s == nil {
 		t.Fatal("setup failed")
 	}
@@ -159,7 +173,7 @@ func TestVaryingPerspectiveCorrection(t *testing.T) {
 
 func TestScissor(t *testing.T) {
 	r := New()
-	s := Setup(tri(0, 0, 32, 0, 0, 32))
+	s := setup(tri(0, 0, 32, 0, 0, 32))
 	cfg := cfg64
 	cfg.ScissorX0, cfg.ScissorY0, cfg.ScissorX1, cfg.ScissorY1 = 0, 0, 8, 8
 	for _, q := range collect(r, s, cfg) {
@@ -179,7 +193,7 @@ func TestViewportClamp(t *testing.T) {
 	// A triangle extending past the viewport emits no out-of-range
 	// fragments.
 	r := New()
-	s := Setup(tri(-20, -20, 100, -20, -20, 100))
+	s := setup(tri(-20, -20, 100, -20, -20, 100))
 	for _, q := range collect(r, s, Config{Width: 32, Height: 32}) {
 		for lane := 0; lane < 4; lane++ {
 			if q.Mask&(1<<lane) == 0 {
@@ -195,7 +209,7 @@ func TestViewportClamp(t *testing.T) {
 
 func TestStatsAccumulation(t *testing.T) {
 	r := New()
-	s := Setup(tri(0, 0, 32, 0, 0, 32))
+	s := setup(tri(0, 0, 32, 0, 0, 32))
 	quads := collect(r, s, cfg64)
 	st := r.Stats()
 	if st.TrianglesSetup != 1 {
@@ -227,7 +241,7 @@ func TestStatsAccumulation(t *testing.T) {
 func TestQuadEfficiencyLargeTriangle(t *testing.T) {
 	// Big triangles have mostly complete quads (paper: >90% in games).
 	r := New()
-	s := Setup(tri(0, 0, 63, 0, 0, 63))
+	s := setup(tri(0, 0, 63, 0, 0, 63))
 	collect(r, s, cfg64)
 	if eff := r.Stats().QuadEfficiency(); eff < 85 {
 		t.Errorf("large triangle quad efficiency = %v%%, want > 85%%", eff)
@@ -240,7 +254,7 @@ func TestQuadEfficiencySmallTriangles(t *testing.T) {
 	r := New()
 	for i := 0; i < 16; i++ {
 		x := float32(i * 4)
-		s := Setup(tri(x, 0, x+1.5, 0, x, 1.5))
+		s := setup(tri(x, 0, x+1.5, 0, x, 1.5))
 		collect(r, s, cfg64)
 	}
 	if eff := r.Stats().QuadEfficiency(); eff > 50 {
@@ -257,7 +271,7 @@ func TestEmptyStatsEfficiency(t *testing.T) {
 
 func TestRasterizeNilSetup(t *testing.T) {
 	r := New()
-	r.Rasterize(nil, cfg64, func(*Quad) { t.Fatal("emitted from nil") })
+	r.RasterizeTo(nil, cfg64, emitFunc(func(*Quad) { t.Fatal("emitted from nil") }))
 	if r.Stats().TrianglesSetup != 0 {
 		t.Error("nil setup should not count")
 	}

@@ -145,14 +145,36 @@ func (s JobSpec) variant() (hwconfig.Variant, error) {
 }
 
 // hwVariant is variant() falling back to the default — for paths past
-// validation (runner, views) and for jobs restored from an older spool,
-// where the selection fields may be absent.
+// validation (cache keys, views) and for jobs restored from an older
+// spool, where the selection fields may be absent.
 func (s JobSpec) hwVariant() hwconfig.Variant {
 	v, err := s.variant()
 	if err != nil {
 		return hwconfig.Default()
 	}
 	return v
+}
+
+// NewContext normalizes and validates an experiment spec, resolves its
+// hardware variant, and returns the single-worker core.Context that
+// runs it — the one place a job spec becomes a run, shared by the
+// daemon's runner and the local sweep runner. Replay specs have no
+// experiment context.
+func (s JobSpec) NewContext() (*core.Context, error) {
+	if len(s.Trace) > 0 {
+		return nil, fmt.Errorf("serve: replay spec has no experiment context")
+	}
+	s = s.normalized()
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	hw := s.hwVariant()
+	c := core.NewContext()
+	c.APIFrames, c.SimFrames = s.APIFrames, s.SimFrames
+	c.W, c.H = s.Width, s.Height
+	c.TileWorkers = s.TileWorkers
+	c.HW = &hw
+	return c, nil
 }
 
 // keySpec is the canonical form hashed into the cache key: the

@@ -14,17 +14,22 @@ import (
 )
 
 // runJob executes one job to its metrics JSON document. The flow for an
-// experiment sweep: render every demo the experiments demand through
-// the resumable entry points (splicing in whatever the job's checkpoint
-// already holds), seed a single-worker core.Context with the results,
-// then run the experiments and export — byte-identical to a one-shot
-// `characterize -json` run, because the export reads the same seeded
-// cache in the same registry order.
+// experiment sweep: build the job's single-worker core.Context, render
+// every demo the experiments demand through core.RenderAPI and
+// core.RenderMicro (splicing in whatever the job's checkpoint already
+// holds), seed the context with the results, then run the experiments
+// and export — byte-identical to a one-shot `characterize -json` run,
+// because the export reads the same seeded cache in the same registry
+// order.
 func (s *Service) runJob(ctx context.Context, j *Job) ([]byte, error) {
 	if len(j.Spec.Trace) > 0 {
 		return s.runTraceJob(ctx, j.Spec)
 	}
 	spec := j.Spec
+	cctx, err := spec.NewContext()
+	if err != nil {
+		return nil, err
+	}
 	api, micro, err := core.NeededDemos(spec.Experiments)
 	if err != nil {
 		return nil, err
@@ -41,15 +46,6 @@ func (s *Service) runJob(ctx context.Context, j *Job) ([]byte, error) {
 	} else if len(ck.API)+len(ck.Sim) > 0 || ck.Cur != nil {
 		s.noteResumed(j)
 	}
-
-	cctx := core.NewContext()
-	cctx.APIFrames = spec.APIFrames
-	cctx.SimFrames = spec.SimFrames
-	cctx.W, cctx.H = spec.Width, spec.Height
-	cctx.TileWorkers = spec.TileWorkers
-	hw := spec.hwVariant()
-	cctx.HW = &hw
-	cctx.Workers = 1 // everything is pre-seeded; nothing may re-render
 
 	for _, name := range api {
 		if done, err := s.seedAPIFromCheckpoint(cctx, j, ck, name); err != nil {
@@ -104,8 +100,9 @@ func (s *Service) seedAPIFromCheckpoint(cctx *core.Context, j *Job, ck *checkpoi
 	return true, nil
 }
 
-// runAPIDemo renders one API demo resumably, checkpointing every
-// CheckpointEvery frames and at cancellation, then seeds the context.
+// runAPIDemo renders one API demo from wherever its checkpoint left
+// off, checkpointing every CheckpointEvery frames and at cancellation,
+// then seeds the context.
 func (s *Service) runAPIDemo(ctx context.Context, j *Job, ck *checkpointFile,
 	cctx *core.Context, name string) error {
 
@@ -124,21 +121,21 @@ func (s *Service) runAPIDemo(ctx context.Context, j *Job, ck *checkpointFile,
 	ck.Cur = nil
 
 	sinceCkpt := 0
-	res, err := core.RunAPIResumable(prof, j.Spec.APIFrames, start, func(c *core.APICheckpoint) error {
+	res, err := core.RenderAPI(prof, j.Spec.APIFrames, start, func(frame int, cur func() *core.APICheckpoint) error {
 		s.addFrames(j, 1, 0)
 		sinceCkpt++
 		if cerr := ctx.Err(); cerr != nil {
 			// Final checkpoint exactly at the kill point: the resumed run
 			// loses zero frames. Best effort — the cancellation wins.
-			_ = s.persistCur(ck, name, c)
+			_ = s.persistCur(ck, name, cur())
 			return cerr
 		}
 		if s.cfg.CheckpointEvery > 0 && sinceCkpt >= s.cfg.CheckpointEvery &&
-			c.Gen.FrameIdx < j.Spec.APIFrames {
+			frame+1 < j.Spec.APIFrames {
 			sinceCkpt = 0
 			// Checkpoints are best effort: a failed write costs resume
 			// coverage, not the render. It feeds degraded-mode health.
-			s.noteSpool(s.persistCur(ck, name, c))
+			s.noteSpool(s.persistCur(ck, name, cur()))
 		}
 		return nil
 	})
@@ -184,7 +181,7 @@ func (s *Service) seedSimFromCheckpoint(cctx *core.Context, j *Job, ck *checkpoi
 	}
 	// The effective resolution may differ from the spec's when the
 	// hardware variant pins one (the res-* family).
-	cfg := j.Spec.hwVariant().GPUConfig(j.Spec.Width, j.Spec.Height)
+	cfg := cctx.GPUConfig()
 	r := &core.MicroResult{Prof: prof, W: cfg.Width, H: cfg.Height, Frames: frames}
 	for _, f := range frames {
 		r.Agg.Accumulate(f)
@@ -205,20 +202,18 @@ func (s *Service) runSimDemo(ctx context.Context, j *Job, ck *checkpointFile,
 	if err != nil {
 		return err
 	}
-	cfg := j.Spec.hwVariant().GPUConfig(j.Spec.Width, j.Spec.Height)
-	if cfg.TileWorkers == 0 {
-		cfg.TileWorkers = j.Spec.TileWorkers
-	}
 	// Each frame boundary streams its counter delta (published snapshot
 	// vs the previous boundary) to the explorer's SSE hub.
 	var prev metrics.Snapshot
-	res, err := core.RunMicroObserved(prof, j.Spec.SimFrames, cfg, func(frame int, boundary metrics.Snapshot) error {
-		s.addFrames(j, 1, 0)
-		if s.cfg.Explorer != nil {
-			s.cfg.Explorer.Publish(explorer.FrameEvent(j.ID, name, frame+1, boundary.Diff(prev)))
-			prev = boundary
-		}
-		return ctx.Err()
+	res, err := core.RenderMicro(prof, j.Spec.SimFrames, cctx.GPUConfig(), core.MicroHooks{
+		OnFrame: func(frame int, boundary metrics.Snapshot) error {
+			s.addFrames(j, 1, 0)
+			if s.cfg.Explorer != nil {
+				s.cfg.Explorer.Publish(explorer.FrameEvent(j.ID, name, frame+1, boundary.Diff(prev)))
+				prev = boundary
+			}
+			return ctx.Err()
+		},
 	})
 	if err != nil {
 		return err

@@ -12,17 +12,16 @@ import (
 )
 
 // expectedJSON computes the reference result for a spec the way
-// `characterize -json` would: a fresh context at the spec's parameters
-// with the default parallel fan-out, RunExperiments, WriteJSON.
+// `characterize -json` would: the spec's own context (JobSpec.NewContext)
+// with a parallel fan-out, RunExperiments, WriteJSON.
 func expectedJSON(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
-	spec = spec.normalized()
-	c := core.NewContext()
-	c.APIFrames = spec.APIFrames
-	c.SimFrames = spec.SimFrames
-	c.W, c.H = spec.Width, spec.Height
-	c.TileWorkers = spec.TileWorkers
+	c, err := spec.NewContext()
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Workers = runtime.NumCPU()
+	spec = spec.normalized()
 	if _, err := core.RunExperiments(c, spec.Experiments); err != nil {
 		t.Fatal(err)
 	}
@@ -146,25 +145,31 @@ func TestDistinctSpecsDistinctResults(t *testing.T) {
 	}
 	defer shutdownNow(t, s)
 
-	a := JobSpec{Experiments: []string{"table3"}, APIFrames: 8}
-	b := JobSpec{Experiments: []string{"table3"}, APIFrames: 16}
-	va, err := s.Submit(a)
-	if err != nil {
-		t.Fatal(err)
+	specs := []JobSpec{
+		{Experiments: []string{"table3"}, APIFrames: 8},
+		{Experiments: []string{"table3"}, APIFrames: 16},
+		{Experiments: []string{"table9"}, SimFrames: 1, Width: 128, Height: 96},
+		{Experiments: []string{"table9"}, SimFrames: 1, Width: 128, Height: 96, Config: "no-hz"},
 	}
-	vb, err := s.Submit(b)
-	if err != nil {
-		t.Fatal(err)
+	results := make([][]byte, len(specs))
+	for i, spec := range specs {
+		v, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, s, v.ID)
+		results[i], _ = s.Result(v.ID)
 	}
-	waitJob(t, s, va.ID)
-	waitJob(t, s, vb.ID)
-	ra, _ := s.Result(va.ID)
-	rb, _ := s.Result(vb.ID)
-	if bytes.Equal(ra, rb) {
+	if bytes.Equal(results[0], results[1]) {
 		t.Error("different frame counts produced identical documents")
 	}
-	if !bytes.Equal(ra, expectedJSON(t, a)) || !bytes.Equal(rb, expectedJSON(t, b)) {
-		t.Error("results differ from single-shot output")
+	if bytes.Equal(results[2], results[3]) {
+		t.Error("different hardware configs produced identical documents")
+	}
+	for i, spec := range specs {
+		if !bytes.Equal(results[i], expectedJSON(t, spec)) {
+			t.Errorf("spec %d: result differs from single-shot output", i)
+		}
 	}
 }
 

@@ -93,27 +93,18 @@ func Run(spec Spec, r Runner, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// LocalRunner computes cells in-process: every cell seeds a fresh
-// core.Context with its hardware variant and runs the sweep's
+// LocalRunner computes cells in-process: every cell builds its job's
+// core.Context through serve.JobSpec.NewContext and runs the sweep's
 // experiments, exactly like `characterize -config <name> -json`. No
 // cache — every cell simulates.
 type LocalRunner struct{}
 
 // RunCell implements Runner.
 func (LocalRunner) RunCell(cell Cell) ([]byte, bool, error) {
-	cctx := core.NewContext()
-	if cell.Job.APIFrames > 0 {
-		cctx.APIFrames = cell.Job.APIFrames
+	cctx, err := cell.Job.NewContext()
+	if err != nil {
+		return nil, false, err
 	}
-	if cell.Job.SimFrames > 0 {
-		cctx.SimFrames = cell.Job.SimFrames
-	}
-	if cell.Job.Width > 0 && cell.Job.Height > 0 {
-		cctx.W, cctx.H = cell.Job.Width, cell.Job.Height
-	}
-	cctx.TileWorkers = cell.Job.TileWorkers
-	hw := cell.Config
-	cctx.HW = &hw
 	if _, err := core.RunExperiments(cctx, cell.Job.Experiments); err != nil {
 		return nil, false, err
 	}
