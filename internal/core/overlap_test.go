@@ -42,7 +42,9 @@ type overlapRun struct {
 	pix    []byte
 }
 
-func renderOverlap(t *testing.T, demo string, tileWorkers int, barrier bool) overlapRun {
+// renderOverlap renders demo at tileWorkers; wrap, when set, puts a
+// forwarding backend between the device and the GPU.
+func renderOverlap(t *testing.T, demo string, tileWorkers int, wrap func(*gpu.GPU) gfxapi.Backend) overlapRun {
 	t.Helper()
 	const frames, w, h = 2, 256, 192
 	prof := workloads.ByName(demo)
@@ -53,8 +55,8 @@ func renderOverlap(t *testing.T, demo string, tileWorkers int, barrier bool) ove
 	cfg.TileWorkers = tileWorkers
 	g := gpu.New(cfg)
 	var be gfxapi.Backend = g
-	if barrier {
-		be = barrierBackend{g}
+	if wrap != nil {
+		be = wrap(g)
 	}
 	wl := workloads.New(prof, gfxapi.NewDevice(prof.API, be), w, h)
 	var run overlapRun
@@ -65,6 +67,21 @@ func renderOverlap(t *testing.T, demo string, tileWorkers int, barrier bool) ove
 	run.pass = g.PassSnapshots()
 	run.shard = g.ShardSnapshots()
 	run.pix = g.Target().Image().Pix
+	return run
+}
+
+// plainRuns caches the unwrapped renders, which both overlap tests
+// compare against: under -race each costs tens of seconds.
+var plainRuns = map[string]overlapRun{}
+
+func plainRender(t *testing.T, demo string, tileWorkers int) overlapRun {
+	t.Helper()
+	key := fmt.Sprintf("%s/%d", demo, tileWorkers)
+	run, ok := plainRuns[key]
+	if !ok {
+		run = renderOverlap(t, demo, tileWorkers, nil)
+		plainRuns[key] = run
+	}
 	return run
 }
 
@@ -93,8 +110,8 @@ func TestTileParallelOverlapMatchesBarrier(t *testing.T) {
 	for _, demo := range demos {
 		for _, tw := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", demo, tw), func(t *testing.T) {
-				got := renderOverlap(t, demo, tw, false)
-				want := renderOverlap(t, demo, tw, true)
+				got := plainRender(t, demo, tw)
+				want := renderOverlap(t, demo, tw, func(g *gpu.GPU) gfxapi.Backend { return barrierBackend{g} })
 				if len(got.frames) == 0 || len(got.shard) != tw {
 					t.Fatalf("%d frame snapshots, %d shard snapshots", len(got.frames), len(got.shard))
 				}
@@ -112,5 +129,46 @@ func TestTileParallelOverlapMatchesBarrier(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// copyingBackend hands the GPU a fresh, never reused copy of every draw
+// call, as the device did before it refilled one DrawCall per draw. Its
+// Execute replaces barrierBackend's, which only forwards the other
+// calls.
+type copyingBackend struct {
+	barrierBackend
+	kept []*gfxapi.DrawCall
+}
+
+func (b *copyingBackend) Execute(dc *gfxapi.DrawCall) {
+	c := new(gfxapi.DrawCall)
+	*c = *dc
+	b.kept = append(b.kept, c)
+	b.g.Execute(c)
+}
+
+// TestTileParallelDrawCallReuse proves no backend reads a DrawCall after
+// Execute returns, the deferred drain included: a render whose device
+// refills one DrawCall per draw matches, in every per-frame snapshot and
+// the framebuffer bytes, a render whose GPU gets a fresh copy of each.
+func TestTileParallelDrawCallReuse(t *testing.T) {
+	demos := append([]string{"Doom3/trdemo2"}, ModernDemos...)
+	for _, demo := range demos {
+		t.Run(demo, func(t *testing.T) {
+			got := plainRender(t, demo, 2)
+			want := renderOverlap(t, demo, 2, func(g *gpu.GPU) gfxapi.Backend {
+				return &copyingBackend{barrierBackend: barrierBackend{g}}
+			})
+			if len(got.frames) == 0 {
+				t.Fatal("no frame snapshots")
+			}
+			if !sameSnapshots(got.frames, want.frames) {
+				t.Error("per-frame snapshots differ from the fresh-copy render")
+			}
+			if !bytes.Equal(got.pix, want.pix) {
+				t.Error("framebuffer differs from the fresh-copy render")
+			}
+		})
 	}
 }

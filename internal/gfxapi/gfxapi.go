@@ -82,6 +82,10 @@ type ClearOp struct {
 // Backend consumes finished draw calls: the GPU simulator, or NullBackend
 // when only API-level statistics are wanted.
 type Backend interface {
+	// Execute consumes one draw. dc is owned by the device and valid
+	// only during the call: the device refills the same DrawCall for
+	// its next draw, so a backend copies whatever it keeps (state,
+	// constants, bindings) before returning.
 	Execute(dc *DrawCall)
 	Clear(op ClearOp)
 	EndFrame()
@@ -173,6 +177,10 @@ type Device struct {
 
 	state  RenderState
 	consts [shader.NumConsts]gmath.Vec4
+
+	// dc is the draw call handed to the backend, refilled by every
+	// DrawIndexed (see Backend.Execute for its lifetime).
+	dc DrawCall
 
 	frame  FrameStats
 	frames []FrameStats
@@ -307,19 +315,27 @@ func (d *Device) CreateProgram(p *shader.Program) (*shader.Program, error) {
 // SetZState sets the depth/stencil state (one state call).
 func (d *Device) SetZState(s zst.State) {
 	d.state.Z = s
-	d.stateCall(Command{Op: OpSetZState, ZState: &s})
+	if d.stateCall() {
+		st := s
+		d.recorder.Record(Command{Op: OpSetZState, ZState: &st})
+	}
 }
 
 // SetRopState sets the blend/mask state (one state call).
 func (d *Device) SetRopState(s rop.State) {
 	d.state.Rop = s
-	d.stateCall(Command{Op: OpSetRopState, RopState: &s})
+	if d.stateCall() {
+		st := s
+		d.recorder.Record(Command{Op: OpSetRopState, RopState: &st})
+	}
 }
 
 // SetCull sets the face culling mode (one state call).
 func (d *Device) SetCull(c geom.CullMode) {
 	d.state.Cull = c
-	d.stateCall(Command{Op: OpSetCull, Cull: c})
+	if d.stateCall() {
+		d.recorder.Record(Command{Op: OpSetCull, Cull: c})
+	}
 }
 
 // BindTexture binds a texture and sampler state to a unit (one state
@@ -329,7 +345,10 @@ func (d *Device) BindTexture(unit int, t *texture.Texture, st texture.SamplerSta
 		return
 	}
 	d.state.Tex[unit] = TexBinding{Tex: t, State: st}
-	d.stateCall(Command{Op: OpBindTexture, Unit: uint8(unit), ID: d.ids[t], Sampler: &st})
+	if d.stateCall() {
+		smp := st
+		d.recorder.Record(Command{Op: OpBindTexture, Unit: uint8(unit), ID: d.ids[t], Sampler: &smp})
+	}
 }
 
 // SetConst loads one constant register (one state call; games issue
@@ -339,7 +358,9 @@ func (d *Device) SetConst(idx int, v gmath.Vec4) {
 		return
 	}
 	d.consts[idx] = v
-	d.stateCall(Command{Op: OpSetConst, Unit: uint8(idx), Vec: v})
+	if d.stateCall() {
+		d.recorder.Record(Command{Op: OpSetConst, Unit: uint8(idx), Vec: v})
+	}
 }
 
 // SetMatrix loads a 4x4 matrix into four consecutive constant registers
@@ -350,22 +371,19 @@ func (d *Device) SetMatrix(baseIdx int, m gmath.Mat4) {
 	}
 }
 
-func (d *Device) stateCall(cmd Command) {
+// stateCall counts one state call and reports whether the call stream is
+// being recorded. Callers build the Command only when it is: a Command
+// pointing at a by-value argument would otherwise move that argument to
+// the heap on every call, recorded or not.
+func (d *Device) stateCall() bool {
 	d.frame.StateCalls++
-	if d.recorder != nil {
-		d.recorder.Record(cmd)
-	}
+	return d.recorder != nil
 }
 
 // DrawIndexed issues one batch with the current state.
 func (d *Device) DrawIndexed(vb *geom.VertexBuffer, ib *geom.IndexBuffer,
 	prim geom.PrimitiveType, vs, fs *shader.Program) {
 
-	dc := &DrawCall{
-		VB: vb, IB: ib, Prim: prim, VS: vs, FS: fs,
-		State:  d.state,
-		Consts: d.consts,
-	}
 	n := len(ib.Indices)
 	d.frame.Batches++
 	d.frame.Indices += int64(n)
@@ -388,12 +406,19 @@ func (d *Device) DrawIndexed(vb *geom.VertexBuffer, ib *geom.IndexBuffer,
 			Prim: prim, ProgID: d.ids[vs], ProgID2: d.ids[fs],
 		})
 	}
+	dc := &d.dc
+	dc.VB, dc.IB, dc.Prim, dc.VS, dc.FS = vb, ib, prim, vs, fs
+	dc.State = d.state
+	dc.Consts = d.consts
 	d.backend.Execute(dc)
 }
 
 // Clear clears the framebuffer (one state call).
 func (d *Device) Clear(op ClearOp) {
-	d.stateCall(Command{Op: OpClear, ClearOp: &op})
+	if d.stateCall() {
+		cop := op
+		d.recorder.Record(Command{Op: OpClear, ClearOp: &cop})
+	}
 	d.backend.Clear(op)
 }
 

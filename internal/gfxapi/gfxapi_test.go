@@ -11,14 +11,15 @@ import (
 	"gpuchar/internal/zst"
 )
 
-// countingBackend records what reaches the backend.
+// countingBackend records what reaches the backend. The device reuses
+// its DrawCall, so the backend keeps a copy of each.
 type countingBackend struct {
-	draws  []*DrawCall
+	draws  []DrawCall
 	clears int
 	frames int
 }
 
-func (c *countingBackend) Execute(dc *DrawCall) { c.draws = append(c.draws, dc) }
+func (c *countingBackend) Execute(dc *DrawCall) { c.draws = append(c.draws, *dc) }
 func (c *countingBackend) Clear(ClearOp)        { c.clears++ }
 func (c *countingBackend) EndFrame()            { c.frames++ }
 
@@ -269,5 +270,33 @@ func TestOpString(t *testing.T) {
 	}
 	if Op(200).String() != "Op?" {
 		t.Error("unknown op name")
+	}
+}
+
+// TestDrawIndexedAllocFree pins the unrecorded API command path as
+// allocation-free: a draw fills the device's own DrawCall, and a state
+// call builds its Command only when a recorder is attached.
+func TestDrawIndexedAllocFree(t *testing.T) {
+	d := NewDevice(OpenGL, NullBackend{})
+	vb, ib, vs, fs := simpleResources(t, d)
+	tex, err := d.CreateTexture(TextureSpec{Name: "t", Format: texture.FormatRGBA8, W: 4, H: 4, Kind: KindFlat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.DrawIndexed(vb, ib, geom.TriangleList, vs, fs) // warm
+	if n := testing.AllocsPerRun(100, func() {
+		d.DrawIndexed(vb, ib, geom.TriangleList, vs, fs)
+	}); n != 0 {
+		t.Errorf("DrawIndexed: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		d.SetZState(zst.DefaultState())
+		d.SetRopState(rop.AlphaBlend())
+		d.SetCull(geom.CullNone)
+		d.BindTexture(0, tex, texture.SamplerState{Filter: texture.FilterBilinear})
+		d.SetConst(3, gmath.V4(1, 2, 3, 4))
+		d.Clear(ClearOp{ClearColor: true})
+	}); n != 0 {
+		t.Errorf("state calls: %v allocs/op, want 0", n)
 	}
 }

@@ -83,11 +83,13 @@ func (d *Device) CreateRenderTarget(name string, w, h int) (*RenderTarget, error
 // restores the backbuffer. One state call.
 func (d *Device) SetRenderTarget(rt *RenderTarget) {
 	d.curRT = rt
-	var id uint32
-	if rt != nil {
-		id = d.ids[rt]
+	if d.stateCall() {
+		var id uint32
+		if rt != nil {
+			id = d.ids[rt]
+		}
+		d.recorder.Record(Command{Op: OpSetRT, ID: id})
 	}
-	d.stateCall(Command{Op: OpSetRT, ID: id})
 	if mp, ok := d.backend.(MultipassBackend); ok {
 		mp.SetRenderTarget(rt)
 	}
@@ -115,7 +117,9 @@ func (d *Device) ResolveToTexture(rt *RenderTarget) error {
 	if err := rt.Tex.UpdateRGBA(pix); err != nil {
 		return fmt.Errorf("gfxapi: resolve %q: %w", rt.Name, err)
 	}
-	d.stateCall(Command{Op: OpResolveTex, ID: d.ids[rt]})
+	if d.stateCall() {
+		d.recorder.Record(Command{Op: OpResolveTex, ID: d.ids[rt]})
+	}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"fmt"
+	"slices"
 
 	"gpuchar/internal/geom"
 	"gpuchar/internal/gfxapi"
@@ -111,149 +112,150 @@ func writePayload(w *bufio.Writer, c *gfxapi.Command) error {
 	return nil
 }
 
-// readPayload decodes one API call's payload, validating every length
-// and enum field against the decoder's limits before allocating.
-func readPayload(d *decoder, c gfxapi.Command) (gfxapi.Command, error) {
+// readPayload decodes one API call's payload into c, whose Op is set,
+// validating every length and enum field against the decoder's limits
+// before allocating.
+func readPayload(d *decoder, c *gfxapi.Command) error {
 	var err error
 	switch c.Op {
 	case gfxapi.OpCreateVB:
 		if c.ID, err = d.readU32(); err != nil {
-			return c, err
+			return err
 		}
 		stride, err := d.readU32()
 		if err != nil {
-			return c, err
+			return err
 		}
 		if int64(stride) > int64(d.lim.MaxStride) {
-			return c, fmt.Errorf("vertex stride %d: %w", stride, ErrLimit)
+			return fmt.Errorf("vertex stride %d: %w", stride, ErrLimit)
 		}
 		c.Stride = int(stride)
 		nAttr, err := d.readU32()
 		if err != nil {
-			return c, err
+			return err
 		}
 		if int64(nAttr) > int64(d.lim.MaxAttrs) {
-			return c, fmt.Errorf("%d attributes: %w", nAttr, ErrLimit)
+			return fmt.Errorf("%d attributes: %w", nAttr, ErrLimit)
 		}
 		if err := d.charge(int64(nAttr) * 24); err != nil {
-			return c, err
+			return err
 		}
 		c.VBData = make([][]gmath.Vec4, nAttr)
 		for i := range c.VBData {
 			n, err := d.readU32()
 			if err != nil {
-				return c, err
+				return err
 			}
 			if int64(n) > int64(d.lim.MaxVertices) {
-				return c, fmt.Errorf("%d vertices: %w", n, ErrLimit)
+				return fmt.Errorf("%d vertices: %w", n, ErrLimit)
 			}
 			// Ragged attribute slots would index out of range in the
 			// vertex fetch stage; reject them at the wire.
 			if i > 0 && int(n) != len(c.VBData[0]) {
-				return c, fmt.Errorf("ragged vertex buffer: attr %d has %d vertices, attr 0 has %d",
+				return fmt.Errorf("ragged vertex buffer: attr %d has %d vertices, attr 0 has %d",
 					i, n, len(c.VBData[0]))
 			}
 			if c.VBData[i], err = d.readVec4s(int(n)); err != nil {
-				return c, err
+				return err
 			}
 		}
 	case gfxapi.OpCreateIB:
 		if c.ID, err = d.readU32(); err != nil {
-			return c, err
+			return err
 		}
 		stride, err := d.readU32()
 		if err != nil {
-			return c, err
+			return err
 		}
 		if int64(stride) > int64(d.lim.MaxStride) {
-			return c, fmt.Errorf("index stride %d: %w", stride, ErrLimit)
+			return fmt.Errorf("index stride %d: %w", stride, ErrLimit)
 		}
 		c.Stride = int(stride)
 		n, err := d.readU32()
 		if err != nil {
-			return c, err
+			return err
 		}
 		if int64(n) > int64(d.lim.MaxIndices) {
-			return c, fmt.Errorf("%d indices: %w", n, ErrLimit)
+			return fmt.Errorf("%d indices: %w", n, ErrLimit)
 		}
 		if c.IBData, err = d.readU32s(int(n)); err != nil {
-			return c, err
+			return err
 		}
 	case gfxapi.OpCreateTex:
 		if c.ID, err = d.readU32(); err != nil {
-			return c, err
+			return err
 		}
 		spec, err := readTexSpec(d)
 		if err != nil {
-			return c, err
+			return err
 		}
 		c.TexSpec = spec
 	case gfxapi.OpCreateProgram:
 		if c.ID, err = d.readU32(); err != nil {
-			return c, err
+			return err
 		}
 		if c.Program, err = readProgram(d); err != nil {
-			return c, err
+			return err
 		}
 	case gfxapi.OpSetZState:
 		st, err := readZState(d)
 		if err != nil {
-			return c, err
+			return err
 		}
 		c.ZState = &st
 	case gfxapi.OpSetRopState:
 		st, err := readRopState(d)
 		if err != nil {
-			return c, err
+			return err
 		}
 		c.RopState = &st
 	case gfxapi.OpSetCull:
 		b, err := d.readU8()
 		if err != nil {
-			return c, err
+			return err
 		}
 		if b > uint8(geom.CullNone) {
-			return c, fmt.Errorf("unknown cull mode %d", b)
+			return fmt.Errorf("unknown cull mode %d", b)
 		}
 		c.Cull = geom.CullMode(b)
 	case gfxapi.OpBindTexture:
 		if c.Unit, err = d.readU8(); err != nil {
-			return c, err
+			return err
 		}
 		if c.ID, err = d.readU32(); err != nil {
-			return c, err
+			return err
 		}
 		st, err := readSampler(d)
 		if err != nil {
-			return c, err
+			return err
 		}
 		c.Sampler = &st
 	case gfxapi.OpSetConst:
 		if c.Unit, err = d.readU8(); err != nil {
-			return c, err
+			return err
 		}
 		if c.Vec, err = d.readVec4(); err != nil {
-			return c, err
+			return err
 		}
 	case gfxapi.OpDraw:
 		for _, dst := range []*uint32{&c.ID, &c.ID2, &c.ProgID, &c.ProgID2} {
 			if *dst, err = d.readU32(); err != nil {
-				return c, err
+				return err
 			}
 		}
 		b, err := d.readU8()
 		if err != nil {
-			return c, err
+			return err
 		}
 		// The per-primitive statistics array is indexed by this byte.
 		if b > uint8(geom.TriangleFan) {
-			return c, fmt.Errorf("unknown primitive type %d", b)
+			return fmt.Errorf("unknown primitive type %d", b)
 		}
 		c.Prim = geom.PrimitiveType(b)
 	case gfxapi.OpClear:
 		op, err := readClear(d)
 		if err != nil {
-			return c, err
+			return err
 		}
 		c.ClearOp = &op
 	case gfxapi.OpEndFrame:
@@ -261,11 +263,11 @@ func readPayload(d *decoder, c gfxapi.Command) (gfxapi.Command, error) {
 		var u [4]uint32
 		for i := range u {
 			if u[i], err = d.readU32(); err != nil {
-				return c, err
+				return err
 			}
 		}
 		if int64(u[2]) > int64(d.lim.MaxTexDim) || int64(u[3]) > int64(d.lim.MaxTexDim) {
-			return c, fmt.Errorf("render target %dx%d: %w", u[2], u[3], ErrLimit)
+			return fmt.Errorf("render target %dx%d: %w", u[2], u[3], ErrLimit)
 		}
 		// The replaying device materializes a color plane, a depth plane
 		// and a resolve texture for this surface; charge the dominant
@@ -275,21 +277,21 @@ func readPayload(d *decoder, c gfxapi.Command) (gfxapi.Command, error) {
 		// * 4 bytes) past the budget.
 		for y := 0; y < int(u[3]); y++ {
 			if err := d.charge(int64(u[2]) * 4); err != nil {
-				return c, err
+				return err
 			}
 		}
 		c.ID, c.ID2, c.RTW, c.RTH = u[0], u[1], int(u[2]), int(u[3])
 		if c.RTName, err = d.readString(); err != nil {
-			return c, err
+			return err
 		}
 	case gfxapi.OpSetRT, gfxapi.OpResolveTex:
 		if c.ID, err = d.readU32(); err != nil {
-			return c, err
+			return err
 		}
 	default:
-		return c, fmt.Errorf("op %d: %w", uint8(c.Op), ErrUnknownOp)
+		return fmt.Errorf("op %d: %w", uint8(c.Op), ErrUnknownOp)
 	}
-	return c, nil
+	return nil
 }
 
 func writeProgram(w *bufio.Writer, p *shader.Program) error {
@@ -479,19 +481,17 @@ func readTexSpec(d *decoder) (gfxapi.TextureSpec, error) {
 	}
 	const chunk = 4096
 	for len(s.Data) < int(n) {
-		c := int(n) - len(s.Data)
-		if c > chunk {
-			c = chunk
-		}
+		c := min(int(n)-len(s.Data), chunk)
 		if err := d.charge(int64(c) * 4); err != nil {
 			return s, err
 		}
-		for i := 0; i < c; i++ {
-			t, err := readRGBA()
-			if err != nil {
-				return s, err
-			}
-			s.Data = append(s.Data, t)
+		b, err := d.bulk(c*4, 1)
+		if err != nil {
+			return s, err
+		}
+		s.Data = slices.Grow(s.Data, c)
+		for ; len(b) >= 4; b = b[4:] {
+			s.Data = append(s.Data, texture.RGBA{R: b[0], G: b[1], B: b[2], A: b[3]})
 		}
 	}
 	return s, nil

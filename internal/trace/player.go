@@ -89,7 +89,7 @@ type Player struct {
 	mode Mode
 
 	vbs   map[uint32]*geom.VertexBuffer
-	ibs   map[uint32]*geom.IndexBuffer
+	ibs   map[uint32]replayIB
 	texs  map[uint32]*texture.Texture
 	progs map[uint32]*shader.Program
 	rts   map[uint32]*gfxapi.RenderTarget
@@ -106,7 +106,7 @@ func NewPlayer(dev *gfxapi.Device) *Player {
 	return &Player{
 		dev:   dev,
 		vbs:   map[uint32]*geom.VertexBuffer{},
-		ibs:   map[uint32]*geom.IndexBuffer{},
+		ibs:   map[uint32]replayIB{},
 		texs:  map[uint32]*texture.Texture{},
 		progs: map[uint32]*shader.Program{},
 		rts:   map[uint32]*gfxapi.RenderTarget{},
@@ -125,9 +125,10 @@ func (p *Player) Report() *ReplayReport { return &p.report }
 // Report and only unrecoverable stream damage (truncation, header
 // corruption, blown allocation budget on an unframed stream) aborts.
 func (p *Player) Play(r *Reader) (int, error) {
+	var cmd gfxapi.Command
 	for {
 		p.cmdIdx, p.cmdOff = r.Commands(), r.Offset()
-		cmd, err := r.Next()
+		err := r.next(&cmd)
 		p.report.Commands = r.Commands()
 		if err == io.EOF {
 			return p.report.Frames, nil
@@ -186,7 +187,8 @@ func (p *Player) apply(c *gfxapi.Command) error {
 	case gfxapi.OpCreateVB:
 		p.vbs[c.ID] = p.dev.CreateVertexBuffer(c.VBData, c.Stride)
 	case gfxapi.OpCreateIB:
-		p.ibs[c.ID] = p.dev.CreateIndexBuffer(c.IBData, c.Stride)
+		ib := p.dev.CreateIndexBuffer(c.IBData, c.Stride)
+		p.ibs[c.ID] = replayIB{ib: ib, end: indexEnd(ib.Indices)}
 	case gfxapi.OpCreateTex:
 		t, err := p.dev.CreateTexture(c.TexSpec)
 		if err != nil {
@@ -215,24 +217,24 @@ func (p *Player) apply(c *gfxapi.Command) error {
 	case gfxapi.OpSetConst:
 		p.dev.SetConst(int(c.Unit), c.Vec)
 	case gfxapi.OpDraw:
-		vb, ib := p.vbs[c.ID], p.ibs[c.ID2]
+		vb, rib := p.vbs[c.ID], p.ibs[c.ID2]
 		vs, fs := p.progs[c.ProgID], p.progs[c.ProgID2]
-		if vb == nil || ib == nil || vs == nil || fs == nil {
+		if vb == nil || rib.ib == nil || vs == nil || fs == nil {
 			p.report.DanglingResources++
 			return p.replayErr(c.Op, fmt.Errorf("draw references missing resources "+
 				"(vb=%d ib=%d vs=%d fs=%d)", c.ID, c.ID2, c.ProgID, c.ProgID2))
 		}
-		if n := oversizedIndices(vb, ib); n > 0 {
+		if rib.end > int64(vb.NumVertices()) {
 			// The vertex fetch stage drops out-of-range indices, so the
 			// draw replays with fewer vertices than recorded.
 			if p.mode == Strict {
 				return p.replayErr(c.Op, fmt.Errorf(
 					"draw has %d indices out of range (vb has %d vertices)",
-					n, vb.NumVertices()))
+					oversizedIndices(vb, rib.ib), vb.NumVertices()))
 			}
 			p.report.DegradedDraws++
 		}
-		p.dev.DrawIndexed(vb, ib, c.Prim, vs, fs)
+		p.dev.DrawIndexed(vb, rib.ib, c.Prim, vs, fs)
 	case gfxapi.OpClear:
 		p.dev.Clear(*c.ClearOp)
 	case gfxapi.OpEndFrame:
@@ -270,6 +272,24 @@ func (p *Player) apply(c *gfxapi.Command) error {
 		return p.replayErr(c.Op, fmt.Errorf("cannot replay op %d", uint8(c.Op)))
 	}
 	return nil
+}
+
+// replayIB is a replayed index buffer with its index range, computed
+// once at creation: buffer contents never change after it, so a draw
+// needs the full scan of oversizedIndices only when end says some index
+// is out of range for the draw's vertex buffer.
+type replayIB struct {
+	ib  *geom.IndexBuffer
+	end int64 // one past the largest index; 0 for an empty buffer
+}
+
+// indexEnd returns one past the largest index, 0 for no indices.
+func indexEnd(ix []uint32) int64 {
+	var m int64
+	for _, i := range ix {
+		m = max(m, int64(i)+1)
+	}
+	return m
 }
 
 // oversizedIndices counts indices referencing vertices the buffer does

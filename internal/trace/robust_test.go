@@ -146,9 +146,9 @@ func TestHeaderDamageIsTyped(t *testing.T) {
 func TestHostileLengthsBounded(t *testing.T) {
 	// CreateVB claiming 2^24 vertices in 16 payload bytes.
 	payload := append(append(append(
-		u32le(1),        // ID
-		u32le(48)...),   // stride
-		u32le(1)...),    // nAttr
+		u32le(1),      // ID
+		u32le(48)...), // stride
+		u32le(1)...), // nAttr
 		u32le(1<<24)...) // vertices — none follow
 	data := append(header(), frame(uint8(gfxapi.OpCreateVB), payload)...)
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"gpuchar/internal/gfxapi"
 	"gpuchar/internal/gmath"
@@ -130,9 +131,8 @@ type Reader struct {
 	api gfxapi.API
 	ver uint8
 
-	lim   Limits
-	alloc int64 // cumulative bytes materialized, charged against AllocBudget
-	cmds  int64 // commands decoded (including failed ones)
+	dec  decoder // reused by every command; holds the limits and budget
+	cmds int64   // commands decoded (including failed ones)
 }
 
 // NewReader validates the header and prepares to decode commands with
@@ -172,7 +172,8 @@ func NewReaderLimits(r io.Reader, lim Limits) (*Reader, error) {
 	if apiB > uint8(gfxapi.Direct3D) {
 		return nil, headerErr(fmt.Errorf("unknown API dialect %d", apiB))
 	}
-	return &Reader{cr: cr, br: br, api: gfxapi.API(apiB), ver: ver, lim: lim}, nil
+	return &Reader{cr: cr, br: br, api: gfxapi.API(apiB), ver: ver,
+		dec: decoder{r: br, lim: lim}}, nil
 }
 
 // API returns the dialect recorded in the header.
@@ -189,7 +190,7 @@ func (r *Reader) Offset() int64 { return r.cr.n - int64(r.br.Buffered()) }
 func (r *Reader) Commands() int64 { return r.cmds }
 
 // Allocated returns the cumulative bytes the decoder has materialized.
-func (r *Reader) Allocated() int64 { return r.alloc }
+func (r *Reader) Allocated() int64 { return r.dec.alloc }
 
 // Next decodes the next command; io.EOF signals a clean end of trace.
 // Any other failure is a *FormatError carrying the command index, byte
@@ -199,39 +200,49 @@ func (r *Reader) Allocated() int64 { return r.alloc }
 // so a lenient caller may keep reading.
 func (r *Reader) Next() (gfxapi.Command, error) {
 	var c gfxapi.Command
+	err := r.next(&c)
+	return c, err
+}
+
+// next is Next decoding into *c, which it overwrites; the player reuses
+// one Command across the whole stream instead of copying the union out
+// of every call.
+func (r *Reader) next(c *gfxapi.Command) error {
+	*c = gfxapi.Command{}
 	start := r.Offset()
 	opB, err := r.br.ReadByte()
 	if err != nil {
 		if err == io.EOF {
-			return c, io.EOF // clean end of trace
+			return io.EOF // clean end of trace
 		}
-		return c, r.formatErr(start, c.Op, err)
+		return r.formatErr(start, c.Op, err)
 	}
 	c.Op = gfxapi.Op(opB)
 	idx := r.cmds
 	r.cmds++
 
-	d := decoder{r: r.br, lim: r.lim, alloc: &r.alloc, rem: -1}
+	d := &r.dec
+	d.rem = -1
 	if r.ver >= 2 {
 		n, err := d.readU32()
 		if err != nil {
-			return c, r.cmdErr(idx, start, c.Op, eofToUnexpected(err))
+			return r.cmdErr(idx, start, c.Op, eofToUnexpected(err))
 		}
-		if int64(n) > r.lim.MaxCommandBytes {
-			return c, r.cmdErr(idx, start, c.Op,
+		if int64(n) > d.lim.MaxCommandBytes {
+			return r.cmdErr(idx, start, c.Op,
 				fmt.Errorf("payload of %d bytes: %w", n, ErrLimit))
 		}
 		d.rem = int64(n)
 	}
 
-	c, err = readPayload(&d, c)
+	err = readPayload(d, c)
 	if err == nil && d.rem > 0 {
 		// A known op that left payload bytes unread is corrupt (the
 		// encoder never writes trailing bytes).
 		err = fmt.Errorf("%d trailing payload bytes", d.rem)
 	}
 	if err == nil {
-		return c, nil
+		return nil
 	}
 	err = eofToUnexpected(err)
 
@@ -240,13 +251,13 @@ func (r *Reader) Next() (gfxapi.Command, error) {
 	// and mark the error resynced.
 	if d.rem > 0 && !isTruncation(err) {
 		if _, derr := io.CopyN(io.Discard, r.br, d.rem); derr != nil {
-			return c, r.cmdErr(idx, start, c.Op, io.ErrUnexpectedEOF)
+			return r.cmdErr(idx, start, c.Op, io.ErrUnexpectedEOF)
 		}
 		d.rem = 0
 	}
 	fe := &FormatError{Cmd: idx, Offset: start, Op: c.Op, Err: err}
 	fe.resynced = r.ver >= 2 && d.rem == 0 && !isTruncation(err)
-	return c, fe
+	return fe
 }
 
 func (r *Reader) cmdErr(idx, off int64, op gfxapi.Op, err error) error {
@@ -310,16 +321,20 @@ func writeString(w *bufio.Writer, s string) error {
 
 // --- binary decoding: the budgeted, bounds-checked decoder ---
 
-// decoder reads one command payload. For framed (v2) streams rem holds
-// the payload bytes still owed; every read is checked against it so a
-// payload cannot read into the next command. rem < 0 disables framing
-// (v1 streams). alloc accumulates materialized bytes against
-// lim.AllocBudget.
+// decoder reads one command payload at a time. For framed (v2) streams
+// rem holds the payload bytes still owed; every read is checked against
+// it so a payload cannot read into the next command. rem < 0 disables
+// framing (v1 streams). alloc accumulates materialized bytes against
+// lim.AllocBudget across the whole stream.
 type decoder struct {
 	r     *bufio.Reader
 	lim   Limits
-	alloc *int64
+	alloc int64
 	rem   int64
+
+	// buf is the scratch one bulk chunk is read into before it is
+	// decoded; it grows to the largest chunk (64 KiB) and is reused.
+	buf []byte
 }
 
 // take accounts n payload bytes about to be read.
@@ -337,10 +352,10 @@ func (d *decoder) take(n int) error {
 // charge accounts n bytes of decoder-side allocation against the
 // cumulative budget.
 func (d *decoder) charge(n int64) error {
-	*d.alloc += n
-	if d.lim.AllocBudget > 0 && *d.alloc > d.lim.AllocBudget {
+	d.alloc += n
+	if d.lim.AllocBudget > 0 && d.alloc > d.lim.AllocBudget {
 		return fmt.Errorf("%w: %d bytes over %d",
-			ErrBudget, *d.alloc, d.lim.AllocBudget)
+			ErrBudget, d.alloc, d.lim.AllocBudget)
 	}
 	return nil
 }
@@ -356,11 +371,21 @@ func (d *decoder) readU32() (uint32, error) {
 	if err := d.take(4); err != nil {
 		return 0, err
 	}
-	var b [4]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
+	// Peek+Discard reads the word in place, where io.ReadFull into a
+	// local array would move that array to the heap. Discarding bytes
+	// Peek returned cannot fail.
+	b, err := d.r.Peek(4)
+	if err != nil {
+		// Consume the partial word, as io.ReadFull would.
+		_, _ = d.r.Discard(len(b))
+		if len(b) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	v := binary.LittleEndian.Uint32(b)
+	_, _ = d.r.Discard(4)
+	return v, nil
 }
 
 func (d *decoder) readF32() (float32, error) {
@@ -405,25 +430,60 @@ func (d *decoder) readString() (string, error) {
 	return string(b), nil
 }
 
-// readVec4s reads n Vec4s, growing the slice in chunks so a length
-// field pointing past a truncation cannot commit one giant make.
+// bulk reads n payload bytes, a run of n/unit fields of unit bytes
+// each, into the scratch buffer with one read. It consumes the same
+// bytes and fails with the same errors as reading the fields one at a
+// time with take + read: on a framing overrun it reads the whole fields
+// the payload still holds and then fails take, and on a read error it
+// leaves rem where the field-by-field reads would have.
+func (d *decoder) bulk(n, unit int) ([]byte, error) {
+	if cap(d.buf) < n {
+		d.buf = make([]byte, n)
+	}
+	b := d.buf[:n]
+	if d.rem >= 0 && int64(n) > d.rem {
+		fit := int(d.rem) / unit * unit
+		if _, err := d.bulk(fit, unit); err != nil {
+			return nil, err
+		}
+		return nil, d.take(unit)
+	}
+	got, err := io.ReadFull(d.r, b)
+	if err != nil {
+		if d.rem >= 0 {
+			d.rem -= int64(min(n, got/unit*unit+unit))
+		}
+		return nil, err
+	}
+	if d.rem >= 0 {
+		d.rem -= int64(n)
+	}
+	return b, nil
+}
+
+// readVec4s reads n Vec4s chunk by chunk: each chunk is charged against
+// the budget, read in bulk, and only then appended, so a length field
+// pointing past a truncation cannot commit one giant make.
 func (d *decoder) readVec4s(n int) ([]gmath.Vec4, error) {
 	const chunk = 4096
 	var out []gmath.Vec4
 	for len(out) < n {
-		c := n - len(out)
-		if c > chunk {
-			c = chunk
-		}
+		c := min(n-len(out), chunk)
 		if err := d.charge(int64(c) * 16); err != nil {
 			return nil, err
 		}
-		for i := 0; i < c; i++ {
-			v, err := d.readVec4()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
+		b, err := d.bulk(c*16, 4)
+		if err != nil {
+			return nil, err
+		}
+		out = slices.Grow(out, c)
+		for ; len(b) >= 16; b = b[16:] {
+			out = append(out, gmath.Vec4{
+				X: math.Float32frombits(binary.LittleEndian.Uint32(b)),
+				Y: math.Float32frombits(binary.LittleEndian.Uint32(b[4:])),
+				Z: math.Float32frombits(binary.LittleEndian.Uint32(b[8:])),
+				W: math.Float32frombits(binary.LittleEndian.Uint32(b[12:])),
+			})
 		}
 	}
 	return out, nil
@@ -434,19 +494,17 @@ func (d *decoder) readU32s(n int) ([]uint32, error) {
 	const chunk = 16384
 	var out []uint32
 	for len(out) < n {
-		c := n - len(out)
-		if c > chunk {
-			c = chunk
-		}
+		c := min(n-len(out), chunk)
 		if err := d.charge(int64(c) * 4); err != nil {
 			return nil, err
 		}
-		for i := 0; i < c; i++ {
-			v, err := d.readU32()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
+		b, err := d.bulk(c*4, 4)
+		if err != nil {
+			return nil, err
+		}
+		out = slices.Grow(out, c)
+		for ; len(b) >= 4; b = b[4:] {
+			out = append(out, binary.LittleEndian.Uint32(b))
 		}
 	}
 	return out, nil
